@@ -48,13 +48,12 @@ from .errors import (
 from .estimation import (
     LossRecord,
     TrainingConfig,
-    TransitionSample,
-    diffusion_loss,
-    drift_loss,
+    Transitions,
     extract_transitions,
     fit,
+    transition_losses,
 )
-from .mlp import GradientSet, MlpNetwork, glorot_init, sgd_step
+from .mlp import MlpNetwork, glorot_init, sgd_step
 from .numeric_core import PcaResult, RngStream, indexed_normals, jacobi_eigh, pca_fit, pca_project
 from .sde_model import (
     BLOWUP_LIMIT,
@@ -82,7 +81,6 @@ __all__ = [
     "EmbeddingTrajectory",
     "EmbsdeError",
     "EstimationError",
-    "GradientSet",
     "LinearSdeSpec",
     "LossRecord",
     "LyapunovReport",
@@ -101,12 +99,10 @@ __all__ = [
     "TimeEncoding",
     "TrainingConfig",
     "TrainingDivergenceError",
-    "TransitionSample",
+    "Transitions",
     "ValidationError",
     "VectorFieldGrid",
     "compare_trajectories",
-    "diffusion_loss",
-    "drift_loss",
     "drift_vector_field",
     "estimate_regularity",
     "extract_transitions",
@@ -132,6 +128,7 @@ __all__ = [
     "simulate",
     "simulate_ensemble",
     "toy_embed",
+    "transition_losses",
     "uncertainty_heatmap",
     "word_importance",
     "__version__",

@@ -41,7 +41,7 @@ from .diagnostics import (
     word_importance,
 )
 from .errors import EmbsdeError, NumericalError, ValidationError
-from .estimation import TrainingConfig, extract_transitions, fit
+from .estimation import TrainingConfig, fit
 from .sde_model import LinearSdeSpec, generate_answer, sample_linear_trajectories, simulate
 
 EXIT_OK = 0
@@ -118,7 +118,7 @@ def cmd_train(args) -> int:
     trajectories = load_trajectories(args.data)
     if not trajectories:
         raise ValidationError(f"{args.data}: no trajectories to train on")
-    n_transitions = sum(len(extract_transitions(t)) for t in trajectories)
+    n_transitions = sum(len(t) - 1 for t in trajectories)
     if args.dim_check:
         print(
             f"data OK: {len(trajectories)} trajectories, dim={trajectories[0].dim}, "

@@ -36,11 +36,11 @@ class TrainingDivergenceError(NumericalError):
     """Training produced a non-finite loss or gradient.
 
     ``last_good_epoch`` is the last epoch that completed with finite losses
-    (-1 if divergence happened before the first epoch finished);
-    ``records`` holds the loss records collected up to that point.
+    (epochs count from 1, so 0 if divergence happened before the first epoch
+    finished); ``records`` holds the loss records of the epochs up to it.
     """
 
-    def __init__(self, message, last_good_epoch=-1, records=()):
+    def __init__(self, message, last_good_epoch=0, records=()):
         super().__init__(message)
         self.last_good_epoch = last_good_epoch
         self.records = list(records)

@@ -29,35 +29,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    EstimationError,
-    TrainingDivergenceError,
-    ValidationError,
-)
-from .mlp import GradientSet, MlpNetwork, glorot_init, sgd_step
+from .errors import DimensionMismatchError, TrainingDivergenceError, ValidationError
+from .mlp import glorot_init, sgd_step
 from .numeric_core import RngStream
 from .sde_model import EmbeddingTrajectory, SdeModel, TimeEncoding
 
 
 @dataclass(frozen=True)
-class TransitionSample:
-    """One observed step: state ``x`` at ``t`` moved to ``x_next`` at ``t + dt``."""
+class Transitions:
+    """Observed one-step transitions, one row per step.
+
+    Row ``i`` is state ``x[i]`` at time ``t[i]`` moving to ``x_next[i]`` at
+    ``t[i] + dt[i]``; ``x`` and ``x_next`` have shape ``(n, d)``, ``t`` and
+    ``dt`` shape ``(n,)``.
+    """
 
     x: np.ndarray
     x_next: np.ndarray
-    t: float
-    dt: float
+    t: np.ndarray
+    dt: np.ndarray
 
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=np.float64)
-        x_next = np.asarray(self.x_next, dtype=np.float64)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "x_next", x_next)
-        if x.shape != x_next.shape or x.ndim != 1:
-            raise DimensionMismatchError(f"x {x.shape} vs x_next {x_next.shape}")
-        if not (self.dt > 0.0):
-            raise ValidationError(f"dt must be positive, got {self.dt}")
+    def __len__(self) -> int:
+        return self.dt.shape[0]
 
 
 @dataclass(frozen=True)
@@ -109,89 +102,61 @@ class LossRecord:
     diffusion: float
 
 
-def extract_transitions(trajectory: EmbeddingTrajectory) -> list[TransitionSample]:
-    """Consecutive-pair samples; a single-state trajectory yields none."""
-    out = []
-    for i in range(len(trajectory) - 1):
-        out.append(
-            TransitionSample(
-                x=trajectory.states[i],
-                x_next=trajectory.states[i + 1],
-                t=float(trajectory.times[i]),
-                dt=float(trajectory.times[i + 1] - trajectory.times[i]),
-            )
-        )
-    return out
+def extract_transitions(trajectories: list[EmbeddingTrajectory]) -> Transitions:
+    """Consecutive-state pairs of every trajectory, trajectory by trajectory.
 
-
-def _batch_arrays(batch: list[TransitionSample]) -> tuple[np.ndarray, ...]:
-    if not batch:
-        raise ValidationError("empty batch")
-    x = np.stack([s.x for s in batch])
-    x_next = np.stack([s.x_next for s in batch])
-    t = np.array([s.t for s in batch])
-    dt = np.array([s.dt for s in batch])
-    return x, x_next, t, dt
-
-
-def drift_loss(model: SdeModel, batch: list[TransitionSample]) -> float:
-    """Mean squared error of predicted increments over the batch."""
-    x, x_next, t, dt = _batch_arrays(batch)
-    mu = model.drift(x, t)
-    resid = x_next - x - mu * dt[:, None]
-    return float(np.mean(np.sum(resid * resid, axis=1)))
-
-
-def diffusion_loss(model: SdeModel, batch: list[TransitionSample]) -> float:
-    """Average residual negative log-likelihood (constant term dropped).
-
-    Can be negative: the ``log(sigma sqrt(dt))`` term has no floor.  Raises
-    when the model's diffusion is not strictly positive or the value is not
-    finite.
+    A single-state trajectory contributes none.  The trajectories must share
+    one state dimension.
     """
-    x, x_next, t, dt = _batch_arrays(batch)
-    sigma = model.diffusion(x, t)
+    if not trajectories:
+        raise ValidationError("no trajectories given")
+    return Transitions(
+        x=np.concatenate([traj.states[:-1] for traj in trajectories]),
+        x_next=np.concatenate([traj.states[1:] for traj in trajectories]),
+        t=np.concatenate([traj.times[:-1] for traj in trajectories]),
+        dt=np.concatenate([np.diff(traj.times) for traj in trajectories]),
+    )
+
+
+def _loss_kernel(mu, sigma, x, x_next, dt, with_grads=False):
+    """Drift and diffusion losses of one batch from the nets' outputs.
+
+    ``mu`` and ``sigma`` are the drift and diffusion outputs at the rows'
+    ``(x, t)``.  Returns ``(drift, diffusion)``, and with ``with_grads`` also
+    the gradients of both losses w.r.t. ``mu`` and ``sigma``.  The residual
+    enters the diffusion gradient as data (stop-gradient).  Raises when
+    ``sigma`` is not strictly positive.
+    """
     if np.any(sigma <= 0.0):
         raise ValidationError("diffusion must be strictly positive on the batch")
-    mu = model.drift(x, t)
-    resid = x_next - x - mu * dt[:, None]
-    with np.errstate(over="ignore", divide="ignore"):
-        terms = resid**2 / (2.0 * sigma**2 * dt[:, None]) + np.log(sigma) + 0.5 * np.log(dt)[:, None]
-        value = float(np.mean(np.sum(terms, axis=1)))
-    if not math.isfinite(value):
-        raise EstimationError("diffusion loss is not finite")
-    return value
-
-
-def _drift_loss_grads(
-    net: MlpNetwork, inputs: np.ndarray, x: np.ndarray, x_next: np.ndarray, dt: np.ndarray
-) -> tuple[float, GradientSet, np.ndarray]:
-    """Loss, parameter gradients, and residuals for the drift term."""
     n = x.shape[0]
-    mu, cache = net.forward_with_cache(inputs)
-    resid = x_next - x - mu * dt[:, None]
-    loss = float(np.mean(np.sum(resid * resid, axis=1)))
-    grad_out = (-2.0 / n) * resid * dt[:, None]
-    return loss, net.backward(cache, grad_out), resid
+    dt = dt[:, None]
+    resid = x_next - x - mu * dt
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        drift = float(np.mean(np.sum(resid * resid, axis=1)))
+        terms = resid**2 / (2.0 * sigma**2 * dt) + np.log(sigma) + 0.5 * np.log(dt)
+        diffusion = float(np.mean(np.sum(terms, axis=1)))
+        if not with_grads:
+            return drift, diffusion
+        grad_mu = (-2.0 / n) * resid * dt
+        grad_sigma = (1.0 / n) * (-(resid**2) / (sigma**3 * dt) + 1.0 / sigma)
+    return drift, diffusion, grad_mu, grad_sigma
 
 
-def _diffusion_loss_grads(
-    net: MlpNetwork, inputs: np.ndarray, resid: np.ndarray, dt: np.ndarray
-) -> tuple[float, GradientSet]:
-    """Loss and parameter gradients for the diffusion term.
+def transition_losses(model: SdeModel, transitions: Transitions) -> tuple[float, float]:
+    """Average drift and diffusion losses of ``model`` over ``transitions``.
 
-    ``resid`` enters as data (stop-gradient): no gradient flows from here
-    back to the drift parameters.
+    The drift loss is the mean squared increment error; the diffusion loss
+    is the mean residual negative log-likelihood (constant term dropped), so
+    it can be negative.  Raises on an empty set or a diffusion that is not
+    strictly positive.
     """
-    n = resid.shape[0]
-    sigma, cache = net.forward_with_cache(inputs)
-    if np.any(sigma <= 0.0):
-        raise ValidationError("diffusion must be strictly positive during training")
-    with np.errstate(over="ignore", divide="ignore"):
-        terms = resid**2 / (2.0 * sigma**2 * dt[:, None]) + np.log(sigma) + 0.5 * np.log(dt)[:, None]
-        loss = float(np.mean(np.sum(terms, axis=1)))
-        grad_out = (1.0 / n) * (-(resid**2) / (sigma**3 * dt[:, None]) + 1.0 / sigma)
-    return loss, net.backward(cache, grad_out)
+    if len(transitions) == 0:
+        raise ValidationError("no transitions to evaluate")
+    x, t = transitions.x, transitions.t
+    return _loss_kernel(
+        model.drift(x, t), model.diffusion(x, t), x, transitions.x_next, transitions.dt
+    )
 
 
 def split_by_trajectory(
@@ -207,15 +172,6 @@ def split_by_trajectory(
     train = [t for i, t in enumerate(trajectories) if i not in val_idx]
     val = [t for i, t in enumerate(trajectories) if i in val_idx]
     return train, val
-
-
-def _eval_split(
-    model: SdeModel, samples: list[TransitionSample], config: TrainingConfig, epoch: int, split: str
-) -> LossRecord:
-    l_mu = drift_loss(model, samples)
-    l_sigma = diffusion_loss(model, samples)
-    total = config.drift_weight * l_mu + config.diffusion_weight * l_sigma
-    return LossRecord(epoch=epoch, split=split, total=total, drift=l_mu, diffusion=l_sigma)
 
 
 def fit(
@@ -239,10 +195,12 @@ def fit(
 
     rng = RngStream(config.seed)
     train_trajs, val_trajs = split_by_trajectory(trajectories, config.validation_fraction, rng)
-    train_samples = [s for traj in train_trajs for s in extract_transitions(traj)]
-    val_samples = [s for traj in val_trajs for s in extract_transitions(traj)]
-    if not train_samples:
+    train = extract_transitions(train_trajs)
+    if len(train) == 0:
         raise ValidationError("no transitions to train on (all trajectories have length 1?)")
+    splits = [("train", train)]
+    if val_trajs and len(val := extract_transitions(val_trajs)):
+        splits.append(("validation", val))
 
     t_max = max(float(traj.times[-1]) for traj in trajectories)
     encoding = TimeEncoding(
@@ -254,21 +212,20 @@ def fit(
     drift_net = glorot_init(layer_dims, rng, config.hidden_activation, "identity")
     diffusion_net = glorot_init(layer_dims, rng, config.hidden_activation, "softplus")
     model = SdeModel(dim, drift_net, diffusion_net, encoding)
-
-    x_all, x_next_all, t_all, dt_all = _batch_arrays(train_samples)
-    feats_all = np.concatenate([x_all, encoding.encode_batch(t_all)], axis=1)
+    feats_all = np.concatenate([train.x, encoding.encode_batch(train.t)], axis=1)
 
     records: list[LossRecord] = []
     last_good = 0
     for epoch in range(1, config.epochs + 1):
-        order = rng.shuffled_indices(len(train_samples))
+        order = rng.shuffled_indices(len(train))
         for start in range(0, len(order), config.batch_size):
             idx = order[start : start + config.batch_size]
-            feats, x = feats_all[idx], x_all[idx]
-            x_next, dt = x_next_all[idx], dt_all[idx]
-
-            l_mu, g_mu, resid = _drift_loss_grads(drift_net, feats, x, x_next, dt)
-            l_sigma, g_sigma = _diffusion_loss_grads(diffusion_net, feats, resid, dt)
+            feats = feats_all[idx]
+            mu, drift_cache = drift_net.forward_with_cache(feats)
+            sigma, diffusion_cache = diffusion_net.forward_with_cache(feats)
+            l_mu, l_sigma, grad_mu, grad_sigma = _loss_kernel(
+                mu, sigma, train.x[idx], train.x_next[idx], train.dt[idx], with_grads=True
+            )
             if not (math.isfinite(l_mu) and math.isfinite(l_sigma)):
                 raise TrainingDivergenceError(
                     f"non-finite batch loss in epoch {epoch}",
@@ -276,27 +233,23 @@ def fit(
                     records=records,
                 )
             if config.drift_weight > 0.0:
-                g_mu.scale(config.drift_weight)
-                sgd_step(drift_net, g_mu, config.learning_rate, config.grad_clip)
+                grad = config.drift_weight * drift_net.backward(drift_cache, grad_mu)
+                sgd_step(drift_net, grad, config.learning_rate, config.grad_clip)
             if config.diffusion_weight > 0.0:
-                g_sigma.scale(config.diffusion_weight)
-                sgd_step(diffusion_net, g_sigma, config.learning_rate, config.grad_clip)
+                grad = config.diffusion_weight * diffusion_net.backward(diffusion_cache, grad_sigma)
+                sgd_step(diffusion_net, grad, config.learning_rate, config.grad_clip)
 
-        try:
-            records.append(_eval_split(model, train_samples, config, epoch, "train"))
-            if val_samples:
-                records.append(_eval_split(model, val_samples, config, epoch, "validation"))
-        except EstimationError as exc:
-            raise TrainingDivergenceError(
-                f"non-finite loss evaluating epoch {epoch}",
-                last_good_epoch=last_good,
-                records=records,
-            ) from exc
-        if not math.isfinite(records[-1].total):
+        epoch_records = []
+        for split, data in splits:
+            l_mu, l_sigma = transition_losses(model, data)
+            total = config.drift_weight * l_mu + config.diffusion_weight * l_sigma
+            epoch_records.append(LossRecord(epoch, split, total, l_mu, l_sigma))
+        if not all(math.isfinite(r.total) for r in epoch_records):
             raise TrainingDivergenceError(
                 f"non-finite loss after epoch {epoch}",
                 last_good_epoch=last_good,
                 records=records,
             )
+        records.extend(epoch_records)
         last_good = epoch
     return model, records

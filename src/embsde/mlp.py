@@ -1,22 +1,25 @@
 """Small dense networks with explicit forward/backward passes.
 
 The drift and diffusion fields are parameterized by fully-connected networks
-kept deliberately minimal: a list of weight matrices (shape
-``(fan_out, fan_in)``) and bias vectors, one hidden activation, one output
-activation.  Training uses plain stochastic gradient descent; the backward
-pass is hand-written so that gradients are exact for the losses built on top
-(and can be checked against finite differences in tests).
+kept deliberately minimal: weight matrices (shape ``(fan_out, fan_in)``) and
+bias vectors, one hidden activation, one output activation.  All parameters
+of a network live in one contiguous vector ``params``, laid out layer by
+layer as the row-major weight matrix followed by the bias; ``weights`` and
+``biases`` are views into it, so writing through either changes the other.
+Training uses plain stochastic gradient descent; the backward pass is
+hand-written so that gradients are exact for the losses built on top (and can
+be checked against finite differences in tests).
 
 Inputs may be a single vector or an ``(n, d)`` batch; batched evaluation
 agrees with row-at-a-time evaluation to floating-point roundoff (the matmul
 kernel may differ by an ulp across batch shapes).  Gradients returned by
-:func:`backward` are summed over the batch.
+:meth:`MlpNetwork.backward` are summed over the batch and share the layout
+of ``params``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -64,15 +67,30 @@ def _activation_grad(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
     raise ValidationError(f"unknown activation {name!r}")
 
 
+def _layer_views(vec: np.ndarray, layer_dims: list[int]) -> tuple[list, list]:
+    """Weight and bias views into a flat vector laid out like ``params``."""
+    weights, biases = [], []
+    pos = 0
+    for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
+        weights.append(vec[pos : pos + fan_out * fan_in].reshape(fan_out, fan_in))
+        pos += fan_out * fan_in
+        biases.append(vec[pos : pos + fan_out])
+        pos += fan_out
+    return weights, biases
+
+
 class MlpNetwork:
     """Dense network ``layer_dims[0] -> ... -> layer_dims[-1]``.
 
     ``weights[i]`` has shape ``(layer_dims[i+1], layer_dims[i])`` and acts on
     the left of column vectors; evaluation is row-major,
-    ``a @ W.T + b``.
+    ``a @ W.T + b``.  The constructor copies the given arrays into the flat
+    ``params`` vector; ``weights`` and ``biases`` are views into it.
     """
 
-    __slots__ = ("layer_dims", "weights", "biases", "hidden_activation", "output_activation")
+    __slots__ = (
+        "layer_dims", "params", "weights", "biases", "hidden_activation", "output_activation"
+    )
 
     def __init__(
         self,
@@ -97,8 +115,10 @@ class MlpNetwork:
                     f"layer {i}: weight {w.shape} / bias {b.shape}, expected {want}"
                 )
         self.layer_dims = list(layer_dims)
-        self.weights = [np.asarray(w, dtype=np.float64) for w in weights]
-        self.biases = [np.asarray(b, dtype=np.float64) for b in biases]
+        self.params = np.concatenate(
+            [part for w, b in zip(weights, biases) for part in (np.ravel(w), b)], dtype=np.float64
+        )
+        self.weights, self.biases = _layer_views(self.params, self.layer_dims)
         self.hidden_activation = hidden_activation
         self.output_activation = output_activation
 
@@ -112,7 +132,7 @@ class MlpNetwork:
 
     @property
     def n_params(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        return self.params.size
 
     def _layer_activation(self, layer: int) -> str:
         return self.output_activation if layer == len(self.weights) - 1 else self.hidden_activation
@@ -127,8 +147,9 @@ class MlpNetwork:
     def forward_with_cache(self, x) -> tuple[np.ndarray, list]:
         """Forward pass keeping per-layer inputs and pre-activations.
 
-        The cache feeds :meth:`backward`; the returned output is always a
-        batch (``(n, out_dim)``), even for a single input vector.
+        The cache (one ``(a_in, z, out)`` triple per layer) feeds
+        :meth:`backward`; the returned output is always a batch
+        (``(n, out_dim)``), even for a single input vector.
         """
         a, _ = self._promote(x)
         cache = []
@@ -139,23 +160,23 @@ class MlpNetwork:
             a = out
         return a, cache
 
-    def backward(self, cache: list, grad_output: np.ndarray) -> "GradientSet":
-        """Parameter gradients of ``sum_n grad_output[n] . output[n]``.
+    def backward(self, cache: list, grad_output: np.ndarray) -> np.ndarray:
+        """Flat gradient of ``sum_n grad_output[n] . output[n]`` w.r.t. ``params``.
 
         ``grad_output`` has shape ``(n, out_dim)``; gradients are summed over
-        the batch axis.
+        the batch axis.  The result has the layout of ``params``.
         """
-        grad_w = [None] * len(self.weights)
-        grad_b = [None] * len(self.biases)
+        grad = np.empty_like(self.params)
+        grad_w, grad_b = _layer_views(grad, self.layer_dims)
         delta = np.asarray(grad_output, dtype=np.float64)
         for i in range(len(self.weights) - 1, -1, -1):
             a_in, z, out = cache[i]
             delta = delta * _activation_grad(self._layer_activation(i), z, out)
-            grad_w[i] = delta.T @ a_in
-            grad_b[i] = delta.sum(axis=0)
+            grad_w[i][...] = delta.T @ a_in
+            grad_b[i][...] = delta.sum(axis=0)
             if i:
                 delta = delta @ self.weights[i]
-        return GradientSet(grad_w, grad_b)
+        return grad
 
     def _promote(self, x) -> tuple[np.ndarray, bool]:
         arr = np.asarray(x, dtype=np.float64)
@@ -168,76 +189,20 @@ class MlpNetwork:
             )
         return arr, single
 
-    # -- flat parameter view (finite-difference checks, persistence) --------
-
     def flatten_params(self) -> np.ndarray:
-        parts = []
-        for w, b in zip(self.weights, self.biases):
-            parts.append(w.ravel())
-            parts.append(b)
-        return np.concatenate(parts)
+        return self.params.copy()
 
     def unflatten_params(self, vec: np.ndarray) -> None:
         vec = np.asarray(vec, dtype=np.float64)
         if vec.shape != (self.n_params,):
             raise DimensionMismatchError(f"expected {self.n_params} params, got {vec.shape}")
-        pos = 0
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            self.weights[i] = vec[pos : pos + w.size].reshape(w.shape).copy()
-            pos += w.size
-            self.biases[i] = vec[pos : pos + b.size].copy()
-            pos += b.size
+        self.params[:] = vec
 
     def copy(self) -> "MlpNetwork":
         return MlpNetwork(
-            self.layer_dims,
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            self.hidden_activation,
-            self.output_activation,
+            self.layer_dims, self.weights, self.biases,
+            self.hidden_activation, self.output_activation,
         )
-
-
-@dataclass
-class GradientSet:
-    """Per-parameter gradients mirroring an :class:`MlpNetwork` layout."""
-
-    weights: list = field(default_factory=list)
-    biases: list = field(default_factory=list)
-
-    @classmethod
-    def zeros_like(cls, net: MlpNetwork) -> "GradientSet":
-        return cls(
-            [np.zeros_like(w) for w in net.weights],
-            [np.zeros_like(b) for b in net.biases],
-        )
-
-    def add_scaled(self, other: "GradientSet", scale: float) -> None:
-        for mine, theirs in zip(self.weights, other.weights):
-            mine += scale * theirs
-        for mine, theirs in zip(self.biases, other.biases):
-            mine += scale * theirs
-
-    def scale(self, c: float) -> None:
-        for w in self.weights:
-            w *= c
-        for b in self.biases:
-            b *= c
-
-    def global_norm(self) -> float:
-        total = 0.0
-        for w in self.weights:
-            total += float(np.sum(w * w))
-        for b in self.biases:
-            total += float(np.sum(b * b))
-        return math.sqrt(total)
-
-    def flatten(self) -> np.ndarray:
-        parts = []
-        for w, b in zip(self.weights, self.biases):
-            parts.append(w.ravel())
-            parts.append(b)
-        return np.concatenate(parts)
 
 
 def glorot_init(
@@ -261,18 +226,18 @@ def glorot_init(
     return MlpNetwork(layer_dims, weights, biases, hidden_activation, output_activation)
 
 
-def sgd_step(net: MlpNetwork, grads: GradientSet, lr: float, clip_norm: float | None = None) -> float:
-    """In-place gradient descent step; returns the pre-clip gradient norm.
+def sgd_step(net: MlpNetwork, grad: np.ndarray, lr: float, clip_norm: float | None = None) -> float:
+    """In-place step ``params -= factor * grad``; returns the pre-clip gradient norm.
 
-    With ``clip_norm`` set, the whole gradient is rescaled to that global
-    norm when it exceeds it (direction preserved).
+    ``grad`` is a flat gradient in the layout of ``net.params``.  The factor
+    is ``lr``, or with ``clip_norm`` set and exceeded by the gradient's
+    Euclidean norm, ``lr * clip_norm / norm`` (direction preserved).
     """
-    norm = grads.global_norm()
+    if grad.shape != net.params.shape:
+        raise DimensionMismatchError(f"expected {net.n_params} gradients, got {grad.shape}")
+    norm = math.sqrt(float(grad @ grad))
     factor = lr
     if clip_norm is not None and norm > clip_norm:
         factor = lr * (clip_norm / norm)
-    for w, gw in zip(net.weights, grads.weights):
-        w -= factor * gw
-    for b, gb in zip(net.biases, grads.biases):
-        b -= factor * gb
+    net.params -= factor * grad
     return norm

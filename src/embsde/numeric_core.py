@@ -124,10 +124,6 @@ class RngStream:
         self.seed = int(seed) & _MASK64
         self._count = 0
 
-    @property
-    def words_drawn(self) -> int:
-        return self._count
-
     def next_uint64(self) -> int:
         state = (self.seed + ((self._count + 1) * _GAMMA)) & _MASK64
         self._count += 1

@@ -89,7 +89,7 @@ def test_criterion_01_gradient_correctness():
             return float(np.sum(coef * probe.forward(xs)))
 
         _, cache = net.forward_with_cache(xs)
-        grads = net.backward(cache, coef).flatten()
+        grads = net.backward(cache, coef)
         theta = net.flatten_params()
         eps = 1e-5
         fd = np.empty_like(theta)

@@ -1,13 +1,16 @@
 """End-to-end CLI tests: exit codes, artifacts, determinism, seed override."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+import embsde
 from embsde.cli import main
 from embsde.cli_io import (
     IMPORTANCE_HEADER,
@@ -287,20 +290,24 @@ class TestFieldAndImportance:
         assert "loss history" in capsys.readouterr().err
 
 
+def _run_module(*args):
+    # the child finds the package where this process imported it from
+    src = str(Path(embsde.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    return subprocess.run(
+        [sys.executable, "-m", "embsde.cli", *args], capture_output=True, text=True, env=env
+    )
+
+
 class TestConsoleEntry:
     def test_module_invocation(self, tmp_path):
         out = str(tmp_path / "data.jsonl")
-        proc = subprocess.run(
-            [sys.executable, "-m", "embsde.cli", "synth-ou", "--out", out,
-             "--n-traj", "2", "--steps", "3"],
-            capture_output=True, text=True,
-        )
+        proc = _run_module("synth-ou", "--out", out, "--n-traj", "2", "--steps", "3")
         assert proc.returncode == 0, proc.stderr
         assert len(load_trajectories(out)) == 2
 
     def test_module_invocation_bad_args(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "embsde.cli", "frobnicate"],
-            capture_output=True, text=True,
-        )
+        proc = _run_module("frobnicate")
         assert proc.returncode == 1
+        assert "frobnicate" in proc.stderr  # the CLI ran and rejected the subcommand

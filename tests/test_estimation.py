@@ -3,22 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from embsde.errors import (
-    DimensionMismatchError,
-    EstimationError,
-    TrainingDivergenceError,
-    ValidationError,
-)
+from embsde.errors import DimensionMismatchError, TrainingDivergenceError, ValidationError
 from embsde.estimation import (
-    LossRecord,
     TrainingConfig,
-    TransitionSample,
-    diffusion_loss,
-    drift_loss,
+    Transitions,
+    _loss_kernel,
     extract_transitions,
     fit,
     split_by_trajectory,
+    transition_losses,
 )
+from embsde.mlp import glorot_init
 from embsde.numeric_core import RngStream
 from embsde.sde_model import (
     EmbeddingTrajectory,
@@ -34,16 +29,11 @@ def constant_trajectory(value, n, dim):
     return EmbeddingTrajectory(np.tile(value, (n, dim)), np.arange(n, dtype=float))
 
 
-def single_sample(x, x_next, t=0.0, dt=1.0):
-    return TransitionSample(np.atleast_1d(np.float64(x)), np.atleast_1d(np.float64(x_next)), t, dt)
-
-
-class TestTransitionSample:
-    def test_validation(self):
-        with pytest.raises(DimensionMismatchError):
-            TransitionSample(np.zeros(2), np.zeros(3), 0.0, 1.0)
-        with pytest.raises(ValidationError):
-            TransitionSample(np.zeros(2), np.zeros(2), 0.0, 0.0)
+def scalar_transitions(x, x_next, dt=1.0):
+    """Scalar-state transitions ``x[i] -> x_next[i]`` starting at time 0."""
+    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    x_next = np.atleast_1d(np.asarray(x_next, dtype=np.float64))
+    return Transitions(x[:, None], x_next[:, None], np.zeros(x.size), np.full(x.size, dt))
 
 
 class TestTrainingConfig:
@@ -71,68 +61,75 @@ class TestTrainingConfig:
 class TestExtractTransitions:
     def test_two_states_one_sample(self):
         traj = EmbeddingTrajectory([[0.0], [1.0]], [0.0, 1.0])
-        assert len(extract_transitions(traj)) == 1
+        assert len(extract_transitions([traj])) == 1
 
     def test_seven_states_six_samples(self):
         traj = EmbeddingTrajectory(np.arange(7.0)[:, None], np.arange(7.0))
-        assert len(extract_transitions(traj)) == 6
+        assert len(extract_transitions([traj])) == 6
 
     def test_pairing_and_dt(self):
-        traj = EmbeddingTrajectory([[0.0], [1.0], [3.0]], [0.0, 1.0, 2.0])
-        samples = extract_transitions(traj)
-        assert samples[0].x[0] == 0.0 and samples[0].x_next[0] == 1.0 and samples[0].dt == 1.0
-        assert samples[1].x[0] == 1.0 and samples[1].x_next[0] == 3.0 and samples[1].t == 1.0
+        first = EmbeddingTrajectory([[0.0], [1.0], [3.0]], [0.0, 1.0, 2.0])
+        second = EmbeddingTrajectory([[5.0], [6.0]], [0.5, 0.75])
+        data = extract_transitions([first, second])
+        np.testing.assert_array_equal(data.x[:, 0], [0.0, 1.0, 5.0])
+        np.testing.assert_array_equal(data.x_next[:, 0], [1.0, 3.0, 6.0])
+        np.testing.assert_array_equal(data.t, [0.0, 1.0, 0.5])
+        np.testing.assert_array_equal(data.dt, [1.0, 1.0, 0.25])
 
     def test_single_state_empty(self):
-        assert extract_transitions(EmbeddingTrajectory([[1.0]], [0.0])) == []
+        data = extract_transitions([EmbeddingTrajectory([[1.0]], [0.0])])
+        assert len(data) == 0 and data.x.shape == (0, 1)
 
 
 class TestDriftLoss:
+    # the drift loss does not depend on b; b > 0 keeps sigma strictly positive
     def test_perfect_predictor_zero(self):
-        spec = LinearSdeSpec(a=-0.8, b=0.0, dim=2)
-        model = linear_sde_model(spec, TimeEncoding(kind="none"))
-        traj = simulate(model, np.array([1.0, -0.5]), n_steps=20, dt=0.1, seed=0)
-        loss = drift_loss(model, extract_transitions(traj))
-        assert loss < 1e-25
+        enc = TimeEncoding(kind="none")
+        noiseless = linear_sde_model(LinearSdeSpec(a=-0.8, b=0.0, dim=2), enc)
+        traj = simulate(noiseless, np.array([1.0, -0.5]), n_steps=20, dt=0.1, seed=0)
+        model = linear_sde_model(LinearSdeSpec(a=-0.8, b=0.3, dim=2), enc)
+        drift, _ = transition_losses(model, extract_transitions([traj]))
+        assert drift < 1e-25
 
     def test_zero_drift_unit_increment(self):
-        model = linear_sde_model(LinearSdeSpec(a=0.0, b=0.0, dim=1), TimeEncoding(kind="none"))
-        assert drift_loss(model, [single_sample(0.0, 1.0)]) == 1.0
+        model = linear_sde_model(LinearSdeSpec(a=0.0, b=1.0, dim=1), TimeEncoding(kind="none"))
+        assert transition_losses(model, scalar_transitions(0.0, 1.0))[0] == 1.0
 
     def test_constant_half_drift(self):
-        model = linear_sde_model(LinearSdeSpec(a=0.0, b=0.0, dim=1), TimeEncoding(kind="none"))
+        model = linear_sde_model(LinearSdeSpec(a=0.0, b=1.0, dim=1), TimeEncoding(kind="none"))
         model.drift_net.biases[0][:] = 0.5
-        assert drift_loss(model, [single_sample(0.0, 1.0)]) == 0.25
+        assert transition_losses(model, scalar_transitions(0.0, 1.0))[0] == 0.25
 
     def test_nonnegative(self):
-        model = linear_sde_model(LinearSdeSpec(a=-2.0, b=0.0, dim=1))
-        samples = [single_sample(u, -u, dt=0.5) for u in np.linspace(-2, 2, 9)]
-        assert drift_loss(model, samples) >= 0.0
+        model = linear_sde_model(LinearSdeSpec(a=-2.0, b=1.0, dim=1))
+        u = np.linspace(-2, 2, 9)
+        assert transition_losses(model, scalar_transitions(u, -u, dt=0.5))[0] >= 0.0
 
     def test_empty_batch_rejected(self):
+        model = linear_sde_model(LinearSdeSpec(0.0, 1.0, 1))
         with pytest.raises(ValidationError):
-            drift_loss(linear_sde_model(LinearSdeSpec(0.0, 0.0, 1)), [])
+            transition_losses(model, scalar_transitions([], []))
 
 
 class TestDiffusionLoss:
     def test_zero_residual_unit_scale(self):
         model = linear_sde_model(LinearSdeSpec(a=0.0, b=1.0, dim=1), TimeEncoding(kind="none"))
-        assert abs(diffusion_loss(model, [single_sample(0.5, 0.5)])) < 1e-12
+        assert abs(transition_losses(model, scalar_transitions(0.5, 0.5))[1]) < 1e-12
 
     def test_unit_residual_half(self):
         model = linear_sde_model(LinearSdeSpec(a=0.0, b=1.0, dim=1), TimeEncoding(kind="none"))
-        assert abs(diffusion_loss(model, [single_sample(0.0, 1.0)]) - 0.5) < 1e-12
+        assert abs(transition_losses(model, scalar_transitions(0.0, 1.0))[1] - 0.5) < 1e-12
 
     def test_ml_recovery_by_grid_scan(self):
         # residuals from N(0, 0.25); constant-sigma loss minimized near 0.5
         resid = 0.5 * RngStream(123).normals(10_000)
-        samples = [single_sample(0.0, r) for r in resid]
+        data = scalar_transitions(np.zeros_like(resid), resid)
         grid = np.round(np.arange(0.30, 0.71, 0.01), 2)
         losses = [
-            diffusion_loss(
+            transition_losses(
                 linear_sde_model(LinearSdeSpec(a=0.0, b=s, dim=1), TimeEncoding(kind="none")),
-                samples,
-            )
+                data,
+            )[1]
             for s in grid
         ]
         best = grid[int(np.argmin(losses))]
@@ -143,75 +140,40 @@ class TestDiffusionLoss:
     def test_nonpositive_sigma_rejected(self):
         model = linear_sde_model(LinearSdeSpec(a=0.0, b=0.0, dim=1))  # identity head, sigma == 0
         with pytest.raises(ValidationError):
-            diffusion_loss(model, [single_sample(0.0, 1.0)])
+            transition_losses(model, scalar_transitions(0.0, 1.0))
 
 
 class TestLossGradients:
-    def build(self):
-        # width-3 model over 5 samples, scalar state plus time feature
-        cfg = TrainingConfig(hidden_dims=(3,), seed=5)
-        rng = RngStream(50)
-        trajs = [
-            EmbeddingTrajectory(rng.normals(4)[:, None], np.arange(4.0)) for _ in range(3)
-        ]
-        return cfg, trajs
-
-    def test_drift_grads_match_fd_of_drift_loss(self):
-        from embsde.estimation import _batch_arrays, _drift_loss_grads
-        from embsde.mlp import glorot_init
-
+    def test_kernel_grads_match_fd(self):
+        # each net's gradient against finite differences of its own loss;
+        # the diffusion loss takes the drift residual as data (stop-gradient)
         rng = RngStream(7)
-        net = glorot_init([2, 3, 1], rng)
-        samples = [single_sample(u, v, t=k * 1.0) for k, (u, v) in enumerate(
-            zip(rng.normals(5), rng.normals(5))
-        )]
-        x, x_next, t, dt = _batch_arrays(samples)
-        enc = TimeEncoding(kind="scalar_normalized", horizon=4.0)
-        feats = np.concatenate([x, enc.encode_batch(t)], axis=1)
-        _, grads, _ = _drift_loss_grads(net, feats, x, x_next, dt)
-
-        def loss_at(theta):
-            probe = net.copy()
-            probe.unflatten_params(theta)
-            mu = probe.forward(feats)
-            r = x_next - x - mu * dt[:, None]
-            return float(np.mean(np.sum(r * r, axis=1)))
-
-        theta = net.flatten_params()
-        fd = np.empty_like(theta)
-        for i in range(theta.size):
-            up, dn = theta.copy(), theta.copy()
-            up[i] += 1e-6
-            dn[i] -= 1e-6
-            fd[i] = (loss_at(up) - loss_at(dn)) / 2e-6
-        np.testing.assert_allclose(grads.flatten(), fd, rtol=1e-3, atol=1e-9)
-
-    def test_diffusion_grads_match_fd(self):
-        from embsde.estimation import _diffusion_loss_grads
-        from embsde.mlp import glorot_init
-
-        rng = RngStream(8)
-        net = glorot_init([2, 3, 1], rng, output_activation="softplus")
-        feats = rng.normals(5 * 2).reshape(5, 2)
-        resid = 0.3 * rng.normals(5)[:, None]
+        nets = [
+            glorot_init([2, 3, 1], rng, output_activation="identity"),
+            glorot_init([2, 3, 1], rng, output_activation="softplus"),
+        ]
+        x, x_next = rng.normals(5)[:, None], rng.normals(5)[:, None]
         dt = np.full(5, 0.5)
-        _, grads = _diffusion_loss_grads(net, feats, resid, dt)
+        feats = np.concatenate([x, TimeEncoding(horizon=4.0).encode_batch(np.arange(5.0))], axis=1)
+        (mu, mu_cache), (sigma, sigma_cache) = (net.forward_with_cache(feats) for net in nets)
+        _, _, grad_mu, grad_sigma = _loss_kernel(mu, sigma, x, x_next, dt, with_grads=True)
 
-        def loss_at(theta):
-            probe = net.copy()
-            probe.unflatten_params(theta)
-            sigma = probe.forward(feats)
-            terms = resid**2 / (2 * sigma**2 * dt[:, None]) + np.log(sigma) + 0.5 * np.log(dt)[:, None]
-            return float(np.mean(np.sum(terms, axis=1)))
+        for k, (cache, grad_out) in enumerate(((mu_cache, grad_mu), (sigma_cache, grad_sigma))):
+            def loss_at(theta):
+                probe = nets[k].copy()
+                probe.unflatten_params(theta)
+                outs = [net.forward(feats) for net in nets]
+                outs[k] = probe.forward(feats)
+                return _loss_kernel(*outs, x, x_next, dt)[k]
 
-        theta = net.flatten_params()
-        fd = np.empty_like(theta)
-        for i in range(theta.size):
-            up, dn = theta.copy(), theta.copy()
-            up[i] += 1e-6
-            dn[i] -= 1e-6
-            fd[i] = (loss_at(up) - loss_at(dn)) / 2e-6
-        np.testing.assert_allclose(grads.flatten(), fd, rtol=1e-3, atol=1e-9)
+            theta = nets[k].flatten_params()
+            fd = np.empty_like(theta)
+            for i in range(theta.size):
+                up, dn = theta.copy(), theta.copy()
+                up[i] += 1e-6
+                dn[i] -= 1e-6
+                fd[i] = (loss_at(up) - loss_at(dn)) / 2e-6
+            np.testing.assert_allclose(nets[k].backward(cache, grad_out), fd, rtol=1e-3, atol=1e-9)
 
 
 class TestSplit:
@@ -296,12 +258,31 @@ class TestFit:
         assert model.time_encoding.horizon == pytest.approx(1.0)
 
     def test_divergence_reports_last_good_epoch(self):
+        # epoch 1 diverges: no epoch finished, so no records are carried
         trajs = sample_linear_trajectories(LinearSdeSpec(-1.0, 0.5, 1), 5, 10, 0.1, seed=1)
-        cfg = TrainingConfig(epochs=5, learning_rate=1e12, seed=0)
+        for validation_fraction in (0.0, 0.2):
+            cfg = TrainingConfig(
+                epochs=5, learning_rate=1e12, seed=0, validation_fraction=validation_fraction
+            )
+            with pytest.raises(TrainingDivergenceError) as exc:
+                fit(trajs, cfg)
+            assert exc.value.last_good_epoch == 0
+            assert exc.value.records == []
+
+    def test_divergence_carries_only_finished_epochs(self):
+        # diverges after some finite epochs; the records stop at the last good one
+        trajs = sample_linear_trajectories(LinearSdeSpec(-1.0, 0.5, 1), 5, 10, 0.1, seed=1)
+        cfg = TrainingConfig(
+            epochs=20, batch_size=8, learning_rate=300.0, seed=0, validation_fraction=0.2
+        )
         with pytest.raises(TrainingDivergenceError) as exc:
             fit(trajs, cfg)
-        assert exc.value.last_good_epoch < 5
-        assert isinstance(exc.value.records, list)
+        good = exc.value.last_good_epoch
+        assert good >= 1
+        assert [(r.epoch, r.split) for r in exc.value.records] == [
+            (e, split) for e in range(1, good + 1) for split in ("train", "validation")
+        ]
+        assert all(math.isfinite(r.total) for r in exc.value.records)
 
     def test_empty_and_mismatched_inputs(self):
         with pytest.raises(ValidationError):

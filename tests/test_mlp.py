@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from embsde.cli_io import load_model, save_model
 from embsde.errors import DimensionMismatchError, ValidationError
-from embsde.mlp import GradientSet, MlpNetwork, glorot_init, sgd_step
+from embsde.mlp import MlpNetwork, glorot_init, sgd_step
 from embsde.numeric_core import RngStream
+from embsde.sde_model import SdeModel, TimeEncoding
 
 
 def small_net(output_activation="identity", seed=3):
@@ -89,7 +91,7 @@ class TestBackward:
             return float(np.sum(coef * probe.forward(xs)))
 
         out, cache = net.forward_with_cache(xs)
-        grads = net.backward(cache, coef).flatten()
+        grads = net.backward(cache, coef)
 
         theta = net.flatten_params()
         eps = 1e-6
@@ -106,11 +108,11 @@ class TestBackward:
         xs = RngStream(2).normals(3 * 3).reshape(3, 3)
         coef = np.ones((3, 2))
         _, cache = net.forward_with_cache(xs)
-        batch_grad = net.backward(cache, coef).flatten()
+        batch_grad = net.backward(cache, coef)
         total = np.zeros_like(batch_grad)
         for x in xs:
             _, c1 = net.forward_with_cache(x)
-            total += net.backward(c1, np.ones((1, 2))).flatten()
+            total += net.backward(c1, np.ones((1, 2)))
         np.testing.assert_allclose(batch_grad, total, rtol=1e-12)
 
 
@@ -133,6 +135,26 @@ class TestParamsRoundTrip:
         with pytest.raises(DimensionMismatchError):
             small_net().unflatten_params(np.zeros(5))
 
+    def test_weights_and_biases_stay_views_of_params(self, tmp_path):
+        def assert_views(net):
+            net.params[:] = np.arange(net.n_params)
+            laid_out = [part for w, b in zip(net.weights, net.biases) for part in (w.ravel(), b)]
+            np.testing.assert_array_equal(np.concatenate(laid_out), net.params)
+
+        net = small_net()
+        net.unflatten_params(np.ones(net.n_params))
+        assert_views(net)
+        sgd_step(net, np.ones(net.n_params), lr=0.1)
+        assert_views(net)
+        clone = net.copy()
+        assert not np.shares_memory(clone.params, net.params)
+        assert_views(clone)
+        path = str(tmp_path / "model.json")
+        save_model(path, SdeModel(2, small_net(), small_net("softplus"), TimeEncoding()))
+        loaded = load_model(path).model
+        assert_views(loaded.drift_net)
+        assert_views(loaded.diffusion_net)
+
 
 class TestSgd:
     def test_descends_quadratic(self):
@@ -153,28 +175,18 @@ class TestSgd:
 
     def test_clip_rescales_to_global_norm(self):
         net = MlpNetwork([1, 1], [np.array([[1.0]])], [np.array([0.0])])
-        grads = GradientSet([np.array([[30.0]])], [np.array([40.0])])  # norm 50
-        returned = sgd_step(net, grads, lr=1.0, clip_norm=5.0)
+        returned = sgd_step(net, np.array([30.0, 40.0]), lr=1.0, clip_norm=5.0)  # norm 50
         assert returned == 50.0
         np.testing.assert_allclose(net.weights[0][0, 0], 1.0 - 3.0)
         np.testing.assert_allclose(net.biases[0][0], -4.0)
 
+    def test_wrong_size_rejected(self):
+        net = MlpNetwork([1, 1], [np.array([[1.0]])], [np.array([0.0])])
+        with pytest.raises(DimensionMismatchError):
+            sgd_step(net, np.array([1.0]), lr=0.1)  # would broadcast over both params
+
     def test_no_clip_below_threshold(self):
         net = MlpNetwork([1, 1], [np.array([[1.0]])], [np.array([0.0])])
-        grads = GradientSet([np.array([[0.5]])], [np.array([0.0])])
-        sgd_step(net, grads, lr=0.1, clip_norm=5.0)
+        sgd_step(net, np.array([0.5, 0.0]), lr=0.1, clip_norm=5.0)
         np.testing.assert_allclose(net.weights[0][0, 0], 0.95)
 
-
-class TestGradientSet:
-    def test_add_scaled_and_norm(self):
-        net = small_net()
-        acc = GradientSet.zeros_like(net)
-        ones = GradientSet(
-            [np.ones_like(w) for w in net.weights],
-            [np.ones_like(b) for b in net.biases],
-        )
-        acc.add_scaled(ones, 2.0)
-        assert acc.global_norm() == pytest.approx(2.0 * math.sqrt(net.n_params))
-        acc.scale(0.5)
-        assert acc.global_norm() == pytest.approx(math.sqrt(net.n_params))
