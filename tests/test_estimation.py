@@ -143,37 +143,58 @@ class TestDiffusionLoss:
             transition_losses(model, scalar_transitions(0.0, 1.0))
 
 
+def fd_grad(loss_at, theta, h=1e-6):
+    """Central finite-difference gradient of ``loss_at`` at ``theta``."""
+    fd = np.empty_like(theta)
+    for i in range(theta.size):
+        up, dn = theta.copy(), theta.copy()
+        up[i] += h
+        dn[i] -= h
+        fd[i] = (loss_at(up) - loss_at(dn)) / (2 * h)
+    return fd
+
+
 class TestLossGradients:
-    def test_kernel_grads_match_fd(self):
-        # each net's gradient against finite differences of its own loss;
-        # the diffusion loss takes the drift residual as data (stop-gradient)
+    def test_drift_grads_match_fd_of_drift_loss(self):
         rng = RngStream(7)
-        nets = [
-            glorot_init([2, 3, 1], rng, output_activation="identity"),
-            glorot_init([2, 3, 1], rng, output_activation="softplus"),
-        ]
+        net = glorot_init([2, 3, 1], rng, output_activation="identity")
         x, x_next = rng.normals(5)[:, None], rng.normals(5)[:, None]
         dt = np.full(5, 0.5)
         feats = np.concatenate([x, TimeEncoding(horizon=4.0).encode_batch(np.arange(5.0))], axis=1)
-        (mu, mu_cache), (sigma, sigma_cache) = (net.forward_with_cache(feats) for net in nets)
-        _, _, grad_mu, grad_sigma = _loss_kernel(mu, sigma, x, x_next, dt, with_grads=True)
+        mu, cache = net.forward_with_cache(feats)
+        sigma = np.ones_like(mu)
+        _, _, grad_mu, _ = _loss_kernel(mu, sigma, x, x_next, dt, with_grads=True)
 
-        for k, (cache, grad_out) in enumerate(((mu_cache, grad_mu), (sigma_cache, grad_sigma))):
-            def loss_at(theta):
-                probe = nets[k].copy()
-                probe.unflatten_params(theta)
-                outs = [net.forward(feats) for net in nets]
-                outs[k] = probe.forward(feats)
-                return _loss_kernel(*outs, x, x_next, dt)[k]
+        def loss_at(theta):
+            probe = net.copy()
+            probe.unflatten_params(theta)
+            r = x_next - x - probe.forward(feats) * dt[:, None]
+            return float(np.mean(np.sum(r * r, axis=1)))
 
-            theta = nets[k].flatten_params()
-            fd = np.empty_like(theta)
-            for i in range(theta.size):
-                up, dn = theta.copy(), theta.copy()
-                up[i] += 1e-6
-                dn[i] -= 1e-6
-                fd[i] = (loss_at(up) - loss_at(dn)) / 2e-6
-            np.testing.assert_allclose(nets[k].backward(cache, grad_out), fd, rtol=1e-3, atol=1e-9)
+        fd = fd_grad(loss_at, net.flatten_params())
+        np.testing.assert_allclose(net.backward(cache, grad_mu), fd, rtol=1e-3, atol=1e-9)
+
+    def test_diffusion_grads_match_fd(self):
+        # the drift residual enters the diffusion loss as data (stop-gradient)
+        rng = RngStream(8)
+        net = glorot_init([2, 3, 1], rng, output_activation="softplus")
+        feats = rng.normals(5 * 2).reshape(5, 2)
+        x = rng.normals(5)[:, None]
+        resid = 0.3 * rng.normals(5)[:, None]
+        dt = np.full(5, 0.5)
+        sigma, cache = net.forward_with_cache(feats)
+        mu = np.zeros_like(sigma)
+        _, _, _, grad_sigma = _loss_kernel(mu, sigma, x, x + resid, dt, with_grads=True)
+
+        def loss_at(theta):
+            probe = net.copy()
+            probe.unflatten_params(theta)
+            s = probe.forward(feats)
+            terms = resid**2 / (2 * s**2 * dt[:, None]) + np.log(s) + 0.5 * np.log(dt)[:, None]
+            return float(np.mean(np.sum(terms, axis=1)))
+
+        fd = fd_grad(loss_at, net.flatten_params())
+        np.testing.assert_allclose(net.backward(cache, grad_sigma), fd, rtol=1e-3, atol=1e-9)
 
 
 class TestSplit:
