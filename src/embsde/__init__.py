@@ -54,12 +54,11 @@ from .estimation import (
     transition_losses,
 )
 from .mlp import MlpNetwork, glorot_init, sgd_step
-from .numeric_core import PcaResult, RngStream, indexed_normals, jacobi_eigh, pca_fit, pca_project
+from .numeric_core import PcaResult, RngStream, indexed_normals, pca_fit, pca_project
 from .sde_model import (
     BLOWUP_LIMIT,
     EmbeddingTrajectory,
     LinearSdeSpec,
-    NoisePath,
     PicardResult,
     SdeModel,
     TimeEncoding,
@@ -67,7 +66,6 @@ from .sde_model import (
     linear_sde_model,
     picard_iterates,
     sample_linear_trajectories,
-    sample_noise_path,
     simulate,
     simulate_ensemble,
 )
@@ -88,7 +86,6 @@ __all__ = [
     "ModelBundle",
     "ModelFormatError",
     "MomentReport",
-    "NoisePath",
     "NumericalError",
     "PcaResult",
     "PicardResult",
@@ -110,7 +107,6 @@ __all__ = [
     "generate_answer",
     "glorot_init",
     "indexed_normals",
-    "jacobi_eigh",
     "linear_sde_model",
     "load_model",
     "load_trajectories",
@@ -121,7 +117,6 @@ __all__ = [
     "pca_project",
     "picard_iterates",
     "sample_linear_trajectories",
-    "sample_noise_path",
     "save_model",
     "save_trajectories",
     "sgd_step",

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, EstimationError, ValidationError
-from .numeric_core import RngStream, jacobi_eigh, pca_fit
+from .numeric_core import RngStream, pca_fit
 from .sde_model import (
     EmbeddingTrajectory,
     LinearSdeSpec,
@@ -150,8 +150,7 @@ def lyapunov_check(
         raise DimensionMismatchError(f"P shape {p.shape}, model dim {model.dim}")
     if float(np.max(np.abs(p - p.T))) > 1e-12:
         raise ValidationError("P must be symmetric")
-    eigvals, _ = jacobi_eigh(p)
-    if eigvals[-1] <= 0.0:
+    if np.linalg.eigvalsh(p)[0] <= 0.0:
         raise ValidationError("P must be positive definite")
 
     mu = model.drift(probes, t)

@@ -49,16 +49,18 @@ class TrainingDivergenceError(NumericalError):
 class SimulationBlowupError(NumericalError):
     """State integration exceeded the blow-up guard or went non-finite.
 
-    ``step`` is the index of the offending update; ``prefix_states`` and
-    ``prefix_times`` hold the last finite portion of the trajectory
-    (ensemble shapes retain the path axis).
+    ``step`` is the index of the offending update and ``paths`` lists every
+    path that left the guard at it.  ``prefix_states`` is the finite prefix
+    of all paths, shape ``(n_paths, step, d)``, and ``prefix_times`` holds
+    its ``step`` times.
     """
 
-    def __init__(self, message, step, prefix_states=None, prefix_times=None):
+    def __init__(self, message, step, prefix_states=None, prefix_times=None, paths=()):
         super().__init__(message)
         self.step = step
         self.prefix_states = prefix_states
         self.prefix_times = prefix_times
+        self.paths = list(paths)
 
 
 class EstimationError(NumericalError):

@@ -110,12 +110,22 @@ def extract_transitions(trajectories: list[EmbeddingTrajectory]) -> Transitions:
     """
     if not trajectories:
         raise ValidationError("no trajectories given")
+    _check_dims(trajectories)
     return Transitions(
         x=np.concatenate([traj.states[:-1] for traj in trajectories]),
         x_next=np.concatenate([traj.states[1:] for traj in trajectories]),
         t=np.concatenate([traj.times[:-1] for traj in trajectories]),
         dt=np.concatenate([np.diff(traj.times) for traj in trajectories]),
     )
+
+
+def _check_dims(trajectories: list[EmbeddingTrajectory]) -> int:
+    """The state dimension the trajectories share; names the first that differs."""
+    dim = trajectories[0].dim
+    for i, traj in enumerate(trajectories):
+        if traj.dim != dim:
+            raise DimensionMismatchError(f"trajectory {i} has dim {traj.dim}, expected {dim}")
+    return dim
 
 
 def _loss_kernel(mu, sigma, x, x_next, dt, with_grads=False):
@@ -188,10 +198,7 @@ def fit(
     config = config if config is not None else TrainingConfig()
     if not trajectories:
         raise ValidationError("no trajectories given")
-    dim = trajectories[0].dim
-    for i, traj in enumerate(trajectories):
-        if traj.dim != dim:
-            raise DimensionMismatchError(f"trajectory {i} has dim {traj.dim}, expected {dim}")
+    dim = _check_dims(trajectories)
 
     rng = RngStream(config.seed)
     train_trajs, val_trajs = split_by_trajectory(trajectories, config.validation_fraction, rng)
@@ -218,32 +225,35 @@ def fit(
     last_good = 0
     for epoch in range(1, config.epochs + 1):
         order = rng.shuffled_indices(len(train))
-        for start in range(0, len(order), config.batch_size):
-            idx = order[start : start + config.batch_size]
-            feats = feats_all[idx]
-            mu, drift_cache = drift_net.forward_with_cache(feats)
-            sigma, diffusion_cache = diffusion_net.forward_with_cache(feats)
-            l_mu, l_sigma, grad_mu, grad_sigma = _loss_kernel(
-                mu, sigma, train.x[idx], train.x_next[idx], train.dt[idx], with_grads=True
-            )
-            if not (math.isfinite(l_mu) and math.isfinite(l_sigma)):
-                raise TrainingDivergenceError(
-                    f"non-finite batch loss in epoch {epoch}",
-                    last_good_epoch=last_good,
-                    records=records,
+        # overflow surfaces as a non-finite loss, which the finiteness checks catch
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, len(order), config.batch_size):
+                idx = order[start : start + config.batch_size]
+                feats = feats_all[idx]
+                mu, drift_cache = drift_net.forward_with_cache(feats)
+                sigma, diffusion_cache = diffusion_net.forward_with_cache(feats)
+                l_mu, l_sigma, grad_mu, grad_sigma = _loss_kernel(
+                    mu, sigma, train.x[idx], train.x_next[idx], train.dt[idx], with_grads=True
                 )
-            if config.drift_weight > 0.0:
-                grad = config.drift_weight * drift_net.backward(drift_cache, grad_mu)
-                sgd_step(drift_net, grad, config.learning_rate, config.grad_clip)
-            if config.diffusion_weight > 0.0:
-                grad = config.diffusion_weight * diffusion_net.backward(diffusion_cache, grad_sigma)
-                sgd_step(diffusion_net, grad, config.learning_rate, config.grad_clip)
+                if not (math.isfinite(l_mu) and math.isfinite(l_sigma)):
+                    raise TrainingDivergenceError(
+                        f"non-finite batch loss in epoch {epoch}",
+                        last_good_epoch=last_good,
+                        records=records,
+                    )
+                if config.drift_weight > 0.0:
+                    grad = config.drift_weight * drift_net.backward(drift_cache, grad_mu)
+                    sgd_step(drift_net, grad, config.learning_rate, config.grad_clip)
+                if config.diffusion_weight > 0.0:
+                    grad = diffusion_net.backward(diffusion_cache, grad_sigma)
+                    grad = config.diffusion_weight * grad
+                    sgd_step(diffusion_net, grad, config.learning_rate, config.grad_clip)
 
-        epoch_records = []
-        for split, data in splits:
-            l_mu, l_sigma = transition_losses(model, data)
-            total = config.drift_weight * l_mu + config.diffusion_weight * l_sigma
-            epoch_records.append(LossRecord(epoch, split, total, l_mu, l_sigma))
+            epoch_records = []
+            for split, data in splits:
+                l_mu, l_sigma = transition_losses(model, data)
+                total = config.drift_weight * l_mu + config.diffusion_weight * l_sigma
+                epoch_records.append(LossRecord(epoch, split, total, l_mu, l_sigma))
         if not all(math.isfinite(r.total) for r in epoch_records):
             raise TrainingDivergenceError(
                 f"non-finite loss after epoch {epoch}",

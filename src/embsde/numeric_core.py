@@ -1,4 +1,4 @@
-"""Deterministic numeric substrate: seeded RNG, eigendecomposition, PCA.
+"""Deterministic numeric substrate: seeded RNG and PCA.
 
 Vectors and matrices throughout the package are plain ``float64`` numpy
 arrays.  This module pins down the two pieces whose exact behaviour the rest
@@ -7,10 +7,9 @@ of the package depends on:
 * a counter-based random number generator with a frozen, documented
   algorithm, so that every simulated noise path can be replayed bit-for-bit
   from its seed (and indexed out of order for parallel path generation);
-* principal component analysis built on an in-package symmetric
-  eigendecomposition (cyclic Jacobi for small dimension, power iteration
-  with deflation above ``_JACOBI_MAX_DIM``), with a deterministic sign and
-  ordering convention.
+* principal component analysis on ``numpy.linalg.eigh`` of the sample
+  covariance, with a deterministic ordering (descending variance, ties in
+  eigh's order) and sign convention.
 
 Frozen RNG algorithm
 --------------------
@@ -50,9 +49,6 @@ _U64_C2 = np.uint64(_MIX_C2)
 
 _TWO_PI = 2.0 * math.pi
 _INV_2_53 = 2.0 ** -53
-
-# Above this dimension pca_fit switches from full Jacobi to power iteration.
-_JACOBI_MAX_DIM = 64
 
 
 def _mix64_int(z: int) -> int:
@@ -114,8 +110,7 @@ class RngStream:
 
     Two streams constructed with the same seed produce identical draws; the
     module docstring freezes the exact algorithm.  A stream is single-owner:
-    share seeds, not stream objects, across concurrent work (see
-    :meth:`spawn`).
+    share seeds, not stream objects, across concurrent work.
     """
 
     __slots__ = ("seed", "_count")
@@ -151,10 +146,6 @@ class RngStream:
         self._count += count
         return _words_to_unit(words)
 
-    def spawn(self, index: int) -> "RngStream":
-        """Independent stream for a worker/path: seed XOR index."""
-        return RngStream(self.seed ^ (int(index) & _MASK64))
-
     def shuffled_indices(self, n: int) -> np.ndarray:
         """Deterministic Fisher-Yates permutation of ``range(n)``."""
         idx = np.arange(n)
@@ -165,110 +156,8 @@ class RngStream:
 
 
 # ---------------------------------------------------------------------------
-# Symmetric eigendecomposition and PCA
+# PCA
 # ---------------------------------------------------------------------------
-
-
-def jacobi_eigh(matrix: np.ndarray, max_sweeps: int = 100) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Returns ``(eigenvalues, eigenvectors)`` with eigenvalues in descending
-    order and eigenvectors as rows, sign-canonicalized so the first component
-    of each row above 1e-12 in magnitude is positive.
-    """
-    a = np.array(matrix, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatchError(f"expected square matrix, got shape {a.shape}")
-    d = a.shape[0]
-    v = np.eye(d)
-    if d == 1:
-        return a.diagonal().copy(), v
-
-    scale = np.max(np.abs(a)) or 1.0
-    tol = 1e-15 * scale
-    for _ in range(max_sweeps):
-        off = math.sqrt(float(np.sum(np.tril(a, -1) ** 2)))
-        if off <= tol * d:
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = a[p, q]
-                if abs(apq) <= tol * 1e-2:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp, cq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-
-    eigvals = a.diagonal().copy()
-    order = np.argsort(-eigvals, kind="stable")
-    rows = v.T[order]
-    return eigvals[order], _canonical_signs(rows)
-
-
-def power_iteration_topk(
-    matrix: np.ndarray,
-    k: int,
-    tol: float = 1e-13,
-    max_iter: int = 10_000,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Top-``k`` eigenpairs of a symmetric PSD matrix by power iteration.
-
-    Uses deflation plus re-orthogonalization against already-found vectors;
-    start vectors come from a fixed internal seed so results are
-    reproducible.  Returns eigenvalues (descending) and eigenvectors as rows.
-    """
-    a = np.array(matrix, dtype=np.float64)
-    d = a.shape[0]
-    rng = RngStream(0xE16E & _MASK64)
-    vals = np.empty(k)
-    vecs = np.empty((k, d))
-    for j in range(k):
-        v = rng.normals(d)
-        v /= math.sqrt(float(v @ v))
-        for _ in range(max_iter):
-            w = a @ v
-            if j:
-                w -= vecs[:j].T @ (vecs[:j] @ w)
-            norm = math.sqrt(float(w @ w))
-            if norm <= 1e-300:
-                # deflated matrix is (numerically) zero in this subspace
-                w = _orthogonal_fill(vecs[:j], d)
-                norm = 1.0
-            w /= norm
-            if float(np.abs(w - v).max()) < tol or float(np.abs(w + v).max()) < tol:
-                v = w
-                break
-            v = w
-        vals[j] = float(v @ a @ v)
-        vecs[j] = v
-        a = a - vals[j] * np.outer(v, v)
-    order = np.argsort(-vals, kind="stable")
-    return vals[order], _canonical_signs(vecs[order])
-
-
-def _orthogonal_fill(rows: np.ndarray, d: int) -> np.ndarray:
-    """Any unit vector orthogonal to the given orthonormal rows."""
-    for i in range(d):
-        cand = np.zeros(d)
-        cand[i] = 1.0
-        if len(rows):
-            cand -= rows.T @ (rows @ cand)
-        norm = math.sqrt(float(cand @ cand))
-        if norm > 1e-8:
-            return cand / norm
-    raise ValidationError("cannot extend orthonormal basis")  # d exhausted
 
 
 def _canonical_signs(rows: np.ndarray) -> np.ndarray:
@@ -300,8 +189,10 @@ def pca_fit(points, k: int) -> PcaResult:
     """Fit a ``k``-component PCA to a cloud of vectors.
 
     ``points`` is a sequence of equal-length vectors (or an ``(n, d)``
-    array).  Eigenvectors of the sample covariance are computed by cyclic
-    Jacobi for ``d <= 64`` and by power iteration with deflation above that.
+    array).  The basis is the top ``k`` eigenvectors of the sample
+    covariance from one ``numpy.linalg.eigh`` call, in descending eigenvalue
+    order (a stable sort, so ties keep eigh's order), each signed so its
+    first component above 1e-12 in magnitude is positive.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if pts.ndim != 2 or pts.size == 0:
@@ -331,15 +222,12 @@ def pca_fit(points, k: int) -> PcaResult:
             degenerate=True,
         )
 
-    if d <= _JACOBI_MAX_DIM:
-        vals, vecs = jacobi_eigh(cov)
-        vals, vecs = vals[:k], vecs[:k]
-    else:
-        vals, vecs = power_iteration_topk(cov, k)
+    vals, vecs = np.linalg.eigh(cov)
+    order = np.argsort(-vals, kind="stable")[:k]
     return PcaResult(
-        basis=vecs,
+        basis=_canonical_signs(vecs.T[order]),
         mean=mean,
-        explained_variance=np.maximum(vals, 0.0),
+        explained_variance=np.maximum(vals[order], 0.0),
         degenerate=False,
     )
 

@@ -137,27 +137,6 @@ class EmbeddingTrajectory:
         return bool(np.max(np.abs(deltas - deltas[0])) < 1e-12)
 
 
-@dataclass(frozen=True)
-class NoisePath:
-    """Wiener increments for one path: ``increments[k, j] ~ sqrt(dt) N(0,1)``."""
-
-    increments: np.ndarray
-    dt: float
-    seed: int
-
-
-def sample_noise_path(dim: int, n_steps: int, dt: float, seed: int) -> NoisePath:
-    """Increments for ``n_steps`` steps; replayable from the seed.
-
-    Step ``k``, component ``j`` consumes normal ``k * dim + j`` of the
-    stream, so any sub-block can be regenerated without drawing the rest.
-    """
-    if dim < 1 or n_steps < 0 or not (dt > 0.0):
-        raise ValidationError(f"bad noise path request dim={dim} n_steps={n_steps} dt={dt}")
-    z = RngStream(seed).normals(n_steps * dim).reshape(n_steps, dim)
-    return NoisePath(increments=math.sqrt(dt) * z, dt=float(dt), seed=int(seed))
-
-
 class SdeModel:
     """Neural drift and diffusion over d-dimensional embeddings.
 
@@ -206,33 +185,6 @@ class SdeModel:
         return out[0] if np.ndim(x) == 1 else out
 
 
-def euler_maruyama_step(model: SdeModel, x, t: float, dt: float, dW) -> np.ndarray:
-    """One update ``x + mu(x,t) dt + sigma(x,t) (.) dW``."""
-    x = np.asarray(x, dtype=np.float64)
-    dW = np.asarray(dW, dtype=np.float64)
-    if x.shape != dW.shape:
-        raise DimensionMismatchError(f"state {x.shape} vs increment {dW.shape}")
-    if not (dt > 0.0):
-        raise ValidationError(f"dt must be positive, got {dt}")
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite handled below
-        nxt = x + model.drift(x, t) * dt + model.diffusion(x, t) * dW
-    if not np.all(np.isfinite(nxt)):
-        raise SimulationBlowupError(
-            "non-finite state after one step", step=0, prefix_states=[x], prefix_times=[t]
-        )
-    return nxt
-
-
-def _check_state(x: np.ndarray, step: int, states: list, times: list) -> None:
-    if not np.all(np.isfinite(x)) or float(np.max(np.abs(x))) > BLOWUP_LIMIT:
-        raise SimulationBlowupError(
-            f"state left |x| <= {BLOWUP_LIMIT:g} at step {step}",
-            step=step,
-            prefix_states=list(states),
-            prefix_times=list(times),
-        )
-
-
 def simulate(
     model: SdeModel,
     x0,
@@ -268,29 +220,52 @@ def simulate_ensemble(
     x0 = np.asarray(x0, dtype=np.float64)
     if x0.shape != (model.dim,) and x0.shape != (n_paths, model.dim):
         raise DimensionMismatchError(f"x0 shape {x0.shape}, model dim {model.dim}")
-    if n_paths < 1 or n_steps < 0:
-        raise ValidationError(f"bad request n_paths={n_paths} n_steps={n_steps}")
+    if n_paths < 1:
+        raise ValidationError(f"bad request n_paths={n_paths}")
+    x0 = np.broadcast_to(x0, (n_paths, model.dim))
+    return _euler_maruyama(model, x0, _path_seeds(seed, np.arange(n_paths)), n_steps, dt)
+
+
+def _path_seeds(seed: int, paths: np.ndarray) -> np.ndarray:
+    """Noise-stream seed of each path id: ``seed XOR path``."""
+    return np.uint64(int(seed) & (2**64 - 1)) ^ paths.astype(np.uint64)
+
+
+def _euler_maruyama(
+    model: SdeModel, x0: np.ndarray, seeds: np.ndarray, n_steps: int, dt: float
+) -> np.ndarray:
+    """Euler-Maruyama paths from the start states ``x0`` of shape ``(n, d)``.
+
+    Step ``k`` of path ``p`` adds ``sqrt(dt)`` times normals ``k*d .. k*d+d-1``
+    of the stream seeded ``seeds[p]``.  Returns ``(n, n_steps + 1, d)``
+    states; raises :class:`SimulationBlowupError` with every offending path
+    once a state leaves ``|x| <= BLOWUP_LIMIT``.
+    """
+    if n_steps < 0:
+        raise ValidationError(f"bad request n_steps={n_steps}")
     if not (dt > 0.0):
         raise ValidationError(f"dt must be positive, got {dt}")
-
-    seeds = (np.uint64(int(seed) & (2**64 - 1)) ^ np.arange(n_paths, dtype=np.uint64))[:, None]
+    n, d = x0.shape
+    seeds = seeds[:, None]
     sqrt_dt = math.sqrt(dt)
-    out = np.empty((n_paths, n_steps + 1, model.dim))
+    out = np.empty((n, n_steps + 1, d))
     out[:, 0, :] = x0
-    x = np.broadcast_to(x0, (n_paths, model.dim)).copy() if x0.ndim == 1 else x0.copy()
-    dim_idx = np.arange(model.dim, dtype=np.uint64)[None, :]
+    x = out[:, 0, :]
+    dim_idx = np.arange(d, dtype=np.uint64)[None, :]
     for k in range(n_steps):
         t = k * dt
-        dW = sqrt_dt * indexed_normals(seeds, np.uint64(k * model.dim) + dim_idx)
+        dW = sqrt_dt * indexed_normals(seeds, np.uint64(k * d) + dim_idx)
         with np.errstate(over="ignore", invalid="ignore"):  # blow-up handled below
             x = x + model.drift(x, t) * dt + model.diffusion(x, t) * dW
-        if not np.all(np.isfinite(x)) or float(np.max(np.abs(x))) > BLOWUP_LIMIT:
-            bad = np.where(~np.isfinite(x).all(axis=1) | (np.abs(x).max(axis=1) > BLOWUP_LIMIT))[0]
+        bad = ~(np.abs(x) <= BLOWUP_LIMIT).all(axis=1)  # NaN fails the comparison too
+        if bad.any():
+            paths = np.flatnonzero(bad).tolist()
             raise SimulationBlowupError(
-                f"path {bad[0]} left |x| <= {BLOWUP_LIMIT:g} at step {k + 1}",
+                f"{len(paths)} of {n} paths left |x| <= {BLOWUP_LIMIT:g} at step {k + 1}",
                 step=k + 1,
-                prefix_states=[out[bad[0], i].copy() for i in range(k + 1)],
-                prefix_times=[i * dt for i in range(k + 1)],
+                prefix_states=out[:, : k + 1].copy(),
+                prefix_times=dt * np.arange(k + 1),
+                paths=paths,
             )
         out[:, k + 1, :] = x
     return out
@@ -372,9 +347,11 @@ def sample_linear_trajectories(
 ) -> list[EmbeddingTrajectory]:
     """Euler paths of a linear SDE with uniform random start states.
 
-    The bundled synthetic dataset: start states are drawn from
-    ``U(x0_low, x0_high)`` per component off the base stream, path ``i``
-    integrates with the stream ``seed XOR (i + 1)``.
+    The bundled synthetic dataset: one draw of ``n_trajectories * dim``
+    uniforms off the base stream gives the start states (row ``i`` for path
+    ``i``, scaled to ``U(x0_low, x0_high)``); path ``i`` integrates with the
+    stream ``seed XOR (i + 1)``, so it equals :func:`simulate` from its start
+    state with that seed.
     """
     if n_trajectories < 1:
         raise ValidationError("need at least one trajectory")
@@ -382,12 +359,11 @@ def sample_linear_trajectories(
         raise ValidationError(f"empty start-state range [{x0_low}, {x0_high}]")
     model = linear_sde_model(spec, TimeEncoding(kind="none"))
     base = RngStream(seed)
-    out = []
-    for i in range(n_trajectories):
-        u = base.uniforms(spec.dim)
-        x0 = x0_low + (x0_high - x0_low) * u
-        out.append(simulate(model, x0, n_steps=n_steps, dt=dt, seed=base.seed ^ (i + 1)))
-    return out
+    u = base.uniforms(n_trajectories * spec.dim).reshape(n_trajectories, spec.dim)
+    seeds = _path_seeds(base.seed, np.arange(1, n_trajectories + 1))
+    states = _euler_maruyama(model, x0_low + (x0_high - x0_low) * u, seeds, n_steps, dt)
+    times = dt * np.arange(n_steps + 1)
+    return [EmbeddingTrajectory(states=s, times=times.copy()) for s in states]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -79,6 +80,11 @@ class TestExtractTransitions:
     def test_single_state_empty(self):
         data = extract_transitions([EmbeddingTrajectory([[1.0]], [0.0])])
         assert len(data) == 0 and data.x.shape == (0, 1)
+
+    def test_mixed_dims_rejected(self):
+        trajs = [constant_trajectory(0.0, 3, 1), constant_trajectory(0.0, 3, 2)]
+        with pytest.raises(DimensionMismatchError, match="trajectory 1 has dim 2"):
+            extract_transitions(trajs)
 
 
 class TestDriftLoss:
@@ -304,6 +310,15 @@ class TestFit:
             (e, split) for e in range(1, good + 1) for split in ("train", "validation")
         ]
         assert all(math.isfinite(r.total) for r in exc.value.records)
+
+    def test_divergence_raises_without_runtime_warnings(self):
+        # overflow on the way to a non-finite loss is numpy's business, not the caller's
+        trajs = sample_linear_trajectories(LinearSdeSpec(-1.0, 0.5, 1), 5, 20, 0.05, seed=0)
+        cfg = TrainingConfig(epochs=20, batch_size=8, learning_rate=300.0, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(TrainingDivergenceError):
+                fit(trajs, cfg)
 
     def test_empty_and_mismatched_inputs(self):
         with pytest.raises(ValidationError):

@@ -6,17 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from embsde.diagnostics import lyapunov_check
 from embsde.errors import DimensionMismatchError, ValidationError
 from embsde.numeric_core import (
     PcaResult,
     RngStream,
     indexed_normals,
-    jacobi_eigh,
     pca_fit,
     pca_project,
-    power_iteration_topk,
     stream_words,
 )
+from embsde.sde_model import LinearSdeSpec, linear_sde_model
 
 
 # ---------------------------------------------------------------------------
@@ -100,14 +100,6 @@ class TestRngStream:
         np.testing.assert_array_equal(block[0], RngStream(3).normals(5))
         np.testing.assert_array_equal(block[1], RngStream(9).normals(5))
 
-    def test_spawn_is_seed_xor(self):
-        rng = RngStream(0b1100)
-        child = rng.spawn(0b1010)
-        assert child.seed == 0b0110
-        # spawned stream unaffected by parent's position
-        rng.normals(17)
-        np.testing.assert_array_equal(rng.spawn(0b1010).normals(4), child.normals(4))
-
     def test_negative_count_rejected(self):
         with pytest.raises(ValidationError):
             RngStream(0).normals(-1)
@@ -125,65 +117,134 @@ class TestRngStream:
 
 
 # ---------------------------------------------------------------------------
-# Eigendecomposition
+# Eigenpairs of pca_fit, checked against reference solvers written here so
+# that the oracle does not share pca_fit's numpy.linalg.eigh call
 # ---------------------------------------------------------------------------
+
+
+def jacobi_reference(sym, max_sweeps=50):
+    """Eigenvalues (descending) and eigenvector rows by cyclic Jacobi rotations."""
+    a = np.array(sym, dtype=np.float64)
+    d = a.shape[0]
+    v = np.eye(d)
+    for _ in range(max_sweeps):
+        if np.sum(np.tril(a, -1) ** 2) <= 1e-30 * np.sum(a * a):
+            break
+        for p in range(d - 1):
+            for q in range(p + 1, d):
+                if a[p, q] == 0.0:
+                    continue
+                tau = (a[q, q] - a[p, p]) / (2.0 * a[p, q])
+                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                rot = np.eye(d)
+                rot[p, p] = rot[q, q] = c
+                rot[p, q], rot[q, p] = t * c, -t * c
+                a = rot.T @ a @ rot
+                v = v @ rot
+    vals = a.diagonal()
+    order = np.argsort(-vals, kind="stable")
+    return vals[order], v.T[order]
+
+
+def power_reference(sym, k, max_iter=20_000):
+    """Top-``k`` eigenpairs of a PSD matrix by power iteration with deflation."""
+    a = np.array(sym, dtype=np.float64)
+    vals, vecs = np.empty(k), np.empty((k, a.shape[0]))
+    for j in range(k):
+        v = RngStream(j).normals(a.shape[0])
+        v /= math.sqrt(v @ v)
+        for _ in range(max_iter):
+            w = a @ v
+            w /= math.sqrt(w @ w)
+            done = np.abs(w - v).max() < 1e-14
+            v = w
+            if done:
+                break
+        vals[j], vecs[j] = v @ a @ v, v
+        a = a - vals[j] * np.outer(v, v)
+    return vals, vecs
+
+
+def assert_same_directions(rows, ref_rows, atol):
+    for got, want in zip(rows, ref_rows):
+        assert min(np.abs(got - want).max(), np.abs(got + want).max()) < atol
 
 
 class TestJacobiEigh:
     def test_diagonal_matrix(self):
-        vals, vecs = jacobi_eigh(np.diag([1.0, 3.0, 2.0]))
-        np.testing.assert_allclose(vals, [3.0, 2.0, 1.0], atol=1e-14)
-        np.testing.assert_allclose(np.abs(vecs), np.eye(3)[[1, 2, 0]], atol=1e-14)
+        # +-c_i e_i: zero mean, sample covariance diag(1, 3, 2)
+        c = np.sqrt(2.5 * np.array([1.0, 3.0, 2.0]))
+        pts = np.vstack([np.diag(c), -np.diag(c)])
+        res = pca_fit(pts, 3)
+        np.testing.assert_allclose(res.explained_variance, [3.0, 2.0, 1.0], atol=1e-14)
+        np.testing.assert_allclose(np.abs(res.basis), np.eye(3)[[1, 2, 0]], atol=1e-14)
+        ref_vals, _ = jacobi_reference(np.cov(pts.T, ddof=1))
+        np.testing.assert_allclose(res.explained_variance, ref_vals, atol=1e-14)
 
     def test_matches_numpy_on_random_symmetric(self):
         rng = np.random.default_rng(5)
         for d in (2, 3, 8, 20):
-            m = rng.standard_normal((d, d))
-            sym = (m + m.T) / 2
-            vals, vecs = jacobi_eigh(sym)
-            ref_vals = np.linalg.eigvalsh(sym)[::-1]
-            np.testing.assert_allclose(vals, ref_vals, atol=1e-9)
+            pts = rng.standard_normal((3 * d, d)) @ rng.standard_normal((d, d))
+            res = pca_fit(pts, d)
+            cov = np.cov(pts.T, ddof=1)
+            np.testing.assert_allclose(
+                res.explained_variance, np.linalg.eigvalsh(cov)[::-1], rtol=1e-9
+            )
+            ref_vals, ref_vecs = jacobi_reference(cov)
+            np.testing.assert_allclose(res.explained_variance, ref_vals, rtol=1e-9)
+            assert_same_directions(res.basis, ref_vecs, atol=1e-6)
             # each row is an eigenvector: A v = lambda v
-            for lam, v in zip(vals, vecs):
-                np.testing.assert_allclose(sym @ v, lam * v, atol=1e-8)
+            for lam, v in zip(res.explained_variance, res.basis):
+                np.testing.assert_allclose(cov @ v, lam * v, atol=1e-8 * ref_vals[0])
 
     def test_eigenvectors_orthonormal(self):
-        rng = np.random.default_rng(17)
-        m = rng.standard_normal((12, 12))
-        _, vecs = jacobi_eigh(m @ m.T)
-        np.testing.assert_allclose(vecs @ vecs.T, np.eye(12), atol=1e-10)
+        pts = np.random.default_rng(17).standard_normal((40, 12))
+        res = pca_fit(pts, 12)
+        np.testing.assert_allclose(res.basis @ res.basis.T, np.eye(12), atol=1e-10)
 
     def test_sign_convention(self):
-        _, vecs = jacobi_eigh(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        assert all(v[np.flatnonzero(np.abs(v) > 1e-12)[0]] > 0 for v in vecs)
+        # the dominant direction is +-(1, -1)/sqrt(2); the first nonzero entry is positive
+        t = np.linspace(-1.0, 1.0, 21)
+        pts = np.stack([-t, t], axis=1) + 0.1 * np.stack([t**2, t**2], axis=1)
+        res = pca_fit(pts, 2)
+        assert all(v[np.flatnonzero(np.abs(v) > 1e-12)[0]] > 0 for v in res.basis)
+        np.testing.assert_allclose(res.basis[0], [1.0, -1.0] / np.sqrt(2.0), atol=1e-12)
 
     def test_rejects_nonsquare(self):
         with pytest.raises(DimensionMismatchError):
-            jacobi_eigh(np.zeros((2, 3)))
+            pca_fit(np.zeros((2, 3, 4)), 1)
+        model = linear_sde_model(LinearSdeSpec(a=-1.0, b=0.5, dim=2))
+        with pytest.raises(DimensionMismatchError):
+            lyapunov_check(model, np.ones((1, 2)), 0.0, p_matrix=np.zeros((2, 3)))
 
     def test_one_by_one(self):
-        vals, vecs = jacobi_eigh(np.array([[4.0]]))
-        assert vals[0] == 4.0 and vecs[0, 0] == 1.0
+        res = pca_fit(np.array([[1.0], [3.0], [2.0]]), 1)
+        assert res.basis[0, 0] == 1.0 and res.explained_variance[0] == pytest.approx(1.0)
 
 
 class TestPowerIteration:
     def test_matches_jacobi_topk(self):
-        rng = np.random.default_rng(31)
-        m = rng.standard_normal((30, 10))
-        cov = m.T @ m / 29
-        vals_p, vecs_p = power_iteration_topk(cov, 3)
-        vals_j, vecs_j = jacobi_eigh(cov)
-        np.testing.assert_allclose(vals_p, vals_j[:3], rtol=1e-8)
-        for vp, vj in zip(vecs_p, vecs_j[:3]):
-            assert min(np.abs(vp - vj).max(), np.abs(vp + vj).max()) < 1e-6
+        pts = np.random.default_rng(31).standard_normal((30, 10))
+        res = pca_fit(pts, 3)
+        cov = np.cov(pts.T, ddof=1)
+        vals_p, vecs_p = power_reference(cov, 3)
+        vals_j, vecs_j = jacobi_reference(cov)
+        np.testing.assert_allclose(res.explained_variance, vals_p, rtol=1e-8)
+        np.testing.assert_allclose(res.explained_variance, vals_j[:3], rtol=1e-8)
+        assert_same_directions(res.basis, vecs_p, atol=1e-6)
+        assert_same_directions(res.basis, vecs_j[:3], atol=1e-6)
 
     def test_rank_deficient_matrix(self):
-        v = np.array([1.0, 2.0, 2.0])
-        cov = np.outer(v, v)
-        vals, vecs = power_iteration_topk(cov, 2)
-        np.testing.assert_allclose(vals[0], 9.0, rtol=1e-10)
-        assert abs(vals[1]) < 1e-8
-        np.testing.assert_allclose(vecs @ vecs.T, np.eye(2), atol=1e-8)
+        # a line through the origin: one nonzero variance, still an orthonormal basis
+        t = np.linspace(-1.0, 1.0, 11)
+        pts = t[:, None] * np.array([1.0, 2.0, 2.0])
+        res = pca_fit(pts, 2)
+        np.testing.assert_allclose(res.explained_variance[0], 9.0 * t.var(ddof=1), rtol=1e-10)
+        np.testing.assert_allclose(res.explained_variance[0], power_reference(np.cov(pts.T), 1)[0])
+        assert abs(res.explained_variance[1]) < 1e-8
+        np.testing.assert_allclose(res.basis[0], [1.0 / 3.0, 2.0 / 3.0, 2.0 / 3.0], atol=1e-12)
+        np.testing.assert_allclose(res.basis @ res.basis.T, np.eye(2), atol=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -234,16 +295,16 @@ class TestPcaFit:
         np.testing.assert_allclose(res.basis @ res.basis.T, np.eye(2), atol=1e-14)
 
     def test_high_dim_uses_power_iteration(self):
+        # d=80 with two planted dominant directions, against the power-iteration reference
         rng = np.random.default_rng(6)
-        # d=80 > jacobi cutoff; planted two dominant directions
         base = rng.standard_normal((2, 80))
         base /= np.linalg.norm(base, axis=1, keepdims=True)
         coef = rng.standard_normal((500, 2)) * np.array([6.0, 3.0])
         pts = coef @ base + 0.01 * rng.standard_normal((500, 80))
         res = pca_fit(pts, 2)
-        cov = np.cov(pts.T, ddof=1)
-        ref = np.linalg.eigvalsh(cov)[::-1][:2]
-        np.testing.assert_allclose(res.explained_variance, ref, rtol=1e-6)
+        vals, vecs = power_reference(np.cov(pts.T, ddof=1), 2)
+        np.testing.assert_allclose(res.explained_variance, vals, rtol=1e-6)
+        assert_same_directions(res.basis, vecs, atol=1e-6)
 
     def test_k_out_of_range(self):
         pts = np.zeros((3, 2))

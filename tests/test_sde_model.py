@@ -11,18 +11,16 @@ from embsde.errors import (
 from embsde.mlp import MlpNetwork, glorot_init
 from embsde.numeric_core import RngStream, indexed_normals
 from embsde.sde_model import (
+    BLOWUP_LIMIT,
     EmbeddingTrajectory,
     LinearSdeSpec,
-    NoisePath,
     PicardResult,
     SdeModel,
     TimeEncoding,
-    euler_maruyama_step,
     generate_answer,
     linear_sde_model,
     picard_iterates,
     sample_linear_trajectories,
-    sample_noise_path,
     simulate,
     simulate_ensemble,
 )
@@ -102,27 +100,37 @@ class TestEmbeddingTrajectory:
 
 
 class TestNoisePath:
+    """The Wiener increments of a path, read off a model with zero drift."""
+
     def test_replayable(self):
-        a = sample_noise_path(3, 10, 0.5, seed=9)
-        b = sample_noise_path(3, 10, 0.5, seed=9)
-        np.testing.assert_array_equal(a.increments, b.increments)
-        assert a.increments.shape == (10, 3)
+        model = linear_sde_model(LinearSdeSpec(a=0.0, b=1.0, dim=3))
+        a = simulate_ensemble(model, np.zeros(3), n_paths=4, n_steps=10, dt=0.5, seed=9)
+        b = simulate_ensemble(model, np.zeros(3), n_paths=4, n_steps=10, dt=0.5, seed=9)
+        np.testing.assert_array_equal(a, b)
+        assert np.diff(a, axis=1).shape == (4, 10, 3)
 
     def test_scaling(self):
-        path = sample_noise_path(4, 5000, 0.04, seed=3)
-        assert abs(path.increments.var() - 0.04) < 0.002
+        model = linear_sde_model(LinearSdeSpec(a=0.0, b=1.0, dim=4))
+        ens = simulate_ensemble(model, np.zeros(4), n_paths=250, n_steps=20, dt=0.04, seed=3)
+        assert abs(np.diff(ens, axis=1).var() - 0.04) < 0.002
 
     def test_block_addressing(self):
-        # step k, component j is normal k*d + j of the stream
-        path = sample_noise_path(3, 7, 1.0, seed=21)
-        block = indexed_normals(np.uint64(21), np.arange(7 * 3)).reshape(7, 3)
-        np.testing.assert_array_equal(path.increments, block)
+        # step k, component j of path p is normal k*d + j of the stream seed XOR p
+        d, n_paths, n_steps, dt, seed = 3, 4, 7, 0.25, 21
+        model = linear_sde_model(LinearSdeSpec(a=0.0, b=0.8, dim=d))
+        ens = simulate_ensemble(model, np.zeros(d), n_paths, n_steps, dt, seed=seed)
+        b = model.diffusion(np.zeros(d), 0.0)
+        for p in range(n_paths):
+            z = indexed_normals(np.uint64(seed ^ p), np.arange(n_steps * d)).reshape(n_steps, d)
+            increments = b * (math.sqrt(dt) * z)
+            np.testing.assert_array_equal(ens[p, 1:], np.cumsum(increments, axis=0))
 
     def test_validation(self):
+        model = linear_sde_model(LinearSdeSpec(a=0.0, b=1.0, dim=2))
         with pytest.raises(ValidationError):
-            sample_noise_path(0, 5, 1.0, 0)
+            simulate_ensemble(model, np.zeros(2), 1, -1, 1.0, 0)
         with pytest.raises(ValidationError):
-            sample_noise_path(2, 5, 0.0, 0)
+            simulate_ensemble(model, np.zeros(2), 1, 5, 0.0, 0)
 
 
 class TestSdeModel:
@@ -168,32 +176,36 @@ class TestSdeModel:
 
 
 class TestEulerStep:
+    """One step ``x + mu(x,t) dt + sigma(x,t) dW`` through a one-step simulate."""
+
     def test_zero_fields_leave_state(self):
         x = np.array([1.5, -2.0])
-        out = euler_maruyama_step(zero_model(2), x, 0.0, 0.1, np.array([3.0, 4.0]))
+        out = simulate(zero_model(2), x, n_steps=1, dt=0.1, seed=5).states[1]
         np.testing.assert_array_equal(out, x)
 
     def test_pure_drift_arithmetic(self):
         model = linear_sde_model(LinearSdeSpec(a=0.0, b=0.0, dim=1))
         model.drift_net.biases[0][:] = 1.0  # mu == 1 regardless of x
-        out = euler_maruyama_step(model, np.array([0.0]), 0.0, 0.1, np.array([0.0]))
+        out = simulate(model, np.array([0.0]), n_steps=1, dt=0.1, seed=5).states[1]
         np.testing.assert_allclose(out, [0.1])
 
     def test_drift_plus_noise_arithmetic(self):
         model = linear_sde_model(LinearSdeSpec(a=-1.0, b=0.5, dim=1))
-        out = euler_maruyama_step(model, np.array([1.0]), 0.0, 0.04, np.array([0.2]))
-        np.testing.assert_allclose(out, [1.0 - 0.04 + 0.5 * 0.2], atol=1e-12)
+        out = simulate(model, np.array([1.0]), n_steps=1, dt=0.04, seed=13).states[1]
+        dW = indexed_normals(np.uint64(13), np.arange(1))[0] * math.sqrt(0.04)
+        np.testing.assert_allclose(out, [1.0 - 0.04 + 0.5 * dW], atol=1e-12)
 
     def test_shape_and_dt_validation(self):
         with pytest.raises(DimensionMismatchError):
-            euler_maruyama_step(zero_model(2), np.ones(2), 0.0, 0.1, np.ones(3))
+            simulate(zero_model(2), np.ones(3), n_steps=1, dt=0.1)
         with pytest.raises(ValidationError):
-            euler_maruyama_step(zero_model(2), np.ones(2), 0.0, 0.0, np.ones(2))
+            simulate(zero_model(2), np.ones(2), n_steps=1, dt=0.0)
 
     def test_nonfinite_raises(self):
         model = linear_sde_model(LinearSdeSpec(a=1.0, b=0.0, dim=1))
-        with pytest.raises(SimulationBlowupError):
-            euler_maruyama_step(model, np.array([1e308]), 0.0, 10.0, np.array([0.0]))
+        with pytest.raises(SimulationBlowupError) as exc:
+            simulate(model, np.array([1e308]), n_steps=1, dt=10.0)
+        assert exc.value.step == 1 and exc.value.paths == [0]
 
 
 class TestSimulate:
@@ -234,9 +246,13 @@ class TestSimulate:
         with pytest.raises(SimulationBlowupError) as exc:
             simulate(model, np.array([1.0]), n_steps=50, dt=1.0, seed=0)
         err = exc.value
-        assert err.step >= 1
-        assert len(err.prefix_states) == err.step
-        assert all(np.all(np.isfinite(s)) for s in err.prefix_states)
+        assert err.step >= 1 and err.paths == [0]
+        assert err.prefix_states.shape == (1, err.step, 1)
+        np.testing.assert_array_equal(err.prefix_times, np.arange(err.step))
+        assert np.all(np.isfinite(err.prefix_states))
+        # the prefix is the path itself, up to the last finite state
+        prefix = simulate(model, np.array([1.0]), n_steps=err.step - 1, dt=1.0, seed=0)
+        np.testing.assert_array_equal(err.prefix_states[0], prefix.states)
 
     def test_zero_steps(self):
         traj = simulate(zero_model(1), np.array([2.0]), n_steps=0, dt=1.0, seed=0)
@@ -268,6 +284,19 @@ class TestSimulateEnsemble:
         ens = simulate_ensemble(model, np.zeros(1), 4, 3, 1.0, seed=0)
         finals = ens[:, -1, 0]
         assert len(set(finals.tolist())) == 4
+
+    def test_blowup_names_every_bad_path(self):
+        # paths 0 and 1 grow identically and leave the guard at the same step; path 2 stays at 0
+        model = linear_sde_model(LinearSdeSpec(a=3.0, b=0.0, dim=1))
+        x0 = np.array([[1.0], [1.0], [0.0]])
+        with pytest.raises(SimulationBlowupError, match="2 of 3 paths") as exc:
+            simulate_ensemble(model, x0, n_paths=3, n_steps=50, dt=1.0, seed=0)
+        err = exc.value
+        assert err.paths == [0, 1]
+        assert err.prefix_states.shape == (3, err.step, 1)
+        np.testing.assert_array_equal(err.prefix_times, np.arange(err.step))
+        np.testing.assert_array_equal(err.prefix_states[:, :, 0], 4.0 ** np.arange(err.step) * x0)
+        assert 4.0**err.step > BLOWUP_LIMIT >= 4.0 ** (err.step - 1)
 
     def test_weak_convergence_order_one(self):
         # |E[X(1)] - x0 e^{-1}| against dt on a log-log scale, slope ~ 1
@@ -310,7 +339,7 @@ class TestGenerateAnswer:
         traj = generate_answer(model, qs, n_steps=6, dt=1.0, seed=9)
         x = qs.mean(axis=0)
         for k in range(6):
-            x = euler_maruyama_step(model, x, k * 1.0, 1.0, np.zeros(2))
+            x = x + model.drift(x, k * 1.0) * 1.0  # b = 0: no noise term
             np.testing.assert_allclose(traj.states[k + 1], x, atol=1e-13)
 
     def test_empty_rejected(self):
@@ -365,6 +394,19 @@ class TestSampleLinearTrajectories:
         starts = np.stack([t.states[0] for t in trajs])
         assert np.all(starts > -2.0) and np.all(starts <= 2.0)
         assert starts.std() > 0.5  # actually spread out
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_path_i_is_simulate_with_seed_xor_i_plus_1(self, dim):
+        spec, n, seed = LinearSdeSpec(a=-0.6, b=0.4, dim=dim), 5, 2024
+        trajs = sample_linear_trajectories(spec, n, 12, 0.1, seed=seed)
+        # start states: one base-stream draw of n * dim uniforms, row i for path i
+        starts = -2.0 + 4.0 * RngStream(seed).uniforms(n * dim).reshape(n, dim)
+        model = linear_sde_model(spec, TimeEncoding(kind="none"))
+        for i, traj in enumerate(trajs):
+            np.testing.assert_array_equal(traj.states[0], starts[i])
+            solo = simulate(model, starts[i], n_steps=12, dt=0.1, seed=seed ^ (i + 1))
+            np.testing.assert_array_equal(traj.states, solo.states)
+            np.testing.assert_array_equal(traj.times, solo.times)
 
     def test_paths_differ(self):
         trajs = sample_linear_trajectories(LinearSdeSpec(0.0, 1.0, 1), 3, 4, 1.0, seed=1)
