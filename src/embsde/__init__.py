@@ -54,7 +54,7 @@ from .estimation import (
     transition_losses,
 )
 from .mlp import MlpNetwork, glorot_init, sgd_step
-from .numeric_core import PcaResult, RngStream, indexed_normals, pca_fit, pca_project
+from .numeric_core import PcaResult, RngStream, indexed_normals, pca_fit
 from .sde_model import (
     BLOWUP_LIMIT,
     EmbeddingTrajectory,
@@ -114,7 +114,6 @@ __all__ = [
     "moment_monte_carlo",
     "moment_ode_solve",
     "pca_fit",
-    "pca_project",
     "picard_iterates",
     "sample_linear_trajectories",
     "save_model",

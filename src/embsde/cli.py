@@ -1,10 +1,10 @@
 """Command-line interface: data synthesis, training, simulation, diagnostics.
 
 Exit codes: 0 on success, 1 for anything wrong with inputs (bad flags,
-malformed files, dimension mismatches), 2 for numerical failures at runtime
-(training divergence, simulation blow-up, failed estimates).  The
-``SDE_TRAJ_SEED`` environment variable, when set, overrides ``--seed`` for
-every subcommand that takes one.
+malformed files, dimension mismatches, unreadable or unwritable paths), 2 for
+numerical failures at runtime (training divergence, simulation blow-up, failed
+estimates).  The ``SDE_TRAJ_SEED`` environment variable, when set, overrides
+``--seed`` for every subcommand that takes one.
 """
 
 from __future__ import annotations
@@ -391,7 +391,7 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     except OSError as exc:
         print(f"embsde: i/o error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, EstimationError, ValidationError
-from .numeric_core import RngStream, pca_fit
+from .numeric_core import RngStream, pca_fit, stream_words
 from .sde_model import (
     EmbeddingTrajectory,
     LinearSdeSpec,
@@ -205,8 +205,8 @@ def moment_monte_carlo(
 ) -> MomentReport:
     """Monte Carlo moment curves for a scalar model on a uniform grid.
 
-    Start states are ``N(x0_mean, x0_var)`` from a stream derived off the
-    path seed; paths then follow the model's own noise streams
+    Start states are ``N(x0_mean, x0_var)`` from the stream seeded with word
+    0 of stream ``seed``; paths then follow the model's own noise streams
     (``seed XOR path``).  Supplying a linear ``reference`` adds the
     closed-form curves with matching initial moments.
     """
@@ -228,7 +228,7 @@ def moment_monte_carlo(
         raise ValidationError("t_grid must start at 0")
 
     dt = float(deltas[0])
-    start_stream = RngStream(RngStream(seed).next_uint64())
+    start_stream = RngStream(int(stream_words(seed, 0, 1)[0]))
     starts = x0_mean + math.sqrt(x0_var) * start_stream.normals(n_paths)
     ens = simulate_ensemble(
         model, starts[:, None], n_paths=n_paths, n_steps=t.size - 1, dt=dt, seed=seed
@@ -253,17 +253,15 @@ def moment_monte_carlo(
 
 
 def compare_trajectories(
-    actual: EmbeddingTrajectory, model: SdeModel, seed: int = 0
+    actual: EmbeddingTrajectory, model: SdeModel
 ) -> tuple[EmbeddingTrajectory, list[float]]:
     """Teacher-forced one-step drift prediction against an observed path.
 
     Each prediction starts from the true previous state and applies only the
-    drift: ``x_hat_{i+1} = x_i + mu(x_i, t_i) dt_i``.  The ``seed`` is
-    accepted for interface symmetry with the stochastic ops but unused; the
-    prediction is deterministic.  Returns the predicted trajectory (same
-    times, starting at the true start) and per-step error norms.
+    drift: ``x_hat_{i+1} = x_i + mu(x_i, t_i) dt_i``, so the prediction is
+    deterministic.  Returns the predicted trajectory (same times, starting at
+    the true start) and per-step error norms.
     """
-    del seed
     if len(actual) < 2:
         raise ValidationError("need at least two states to compare")
     if actual.dim != model.dim:

@@ -26,6 +26,10 @@ pair of consecutive words::
 The sine companion is intentionally discarded: each normal is then a pure
 function of ``(seed, k)``, which is what makes ensemble noise generation a
 bulk array computation rather than a sequential draw.
+
+A permutation of ``range(n)`` is the Fisher-Yates shuffle driven by the next
+``n - 1`` uniforms ``u_1 .. u_{n-1}`` of the stream: for ``i = n-1, ..., 1``
+in that order it swaps positions ``i`` and ``min(floor(u_{n-i} (i + 1)), i)``.
 """
 
 from __future__ import annotations
@@ -38,35 +42,20 @@ import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
 
-_MASK64 = (1 << 64) - 1
-_GAMMA = 0x9E3779B97F4A7C15
-_MIX_C1 = 0xBF58476D1CE4E5B9
-_MIX_C2 = 0x94D049BB133111EB
-
-_U64_GAMMA = np.uint64(_GAMMA)
-_U64_C1 = np.uint64(_MIX_C1)
-_U64_C2 = np.uint64(_MIX_C2)
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX_C1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX_C2 = np.uint64(0x94D049BB133111EB)
 
 _TWO_PI = 2.0 * math.pi
 _INV_2_53 = 2.0 ** -53
 
 
-def _mix64_int(z: int) -> int:
-    z &= _MASK64
-    z ^= z >> 30
-    z = (z * _MIX_C1) & _MASK64
-    z ^= z >> 27
-    z = (z * _MIX_C2) & _MASK64
-    z ^= z >> 31
-    return z
-
-
-def _mix64_array(z: np.ndarray) -> np.ndarray:
-    # uint64 array arithmetic wraps mod 2**64; scalars would warn, arrays do not
+def _mix64(z: np.ndarray) -> np.ndarray:
+    # uint64 arrays wrap mod 2**64 silently; 0-d operands warn, so callers promote them
     z = z ^ (z >> np.uint64(30))
-    z = z * _U64_C1
+    z = z * _MIX_C1
     z = z ^ (z >> np.uint64(27))
-    z = z * _U64_C2
+    z = z * _MIX_C2
     z = z ^ (z >> np.uint64(31))
     return z
 
@@ -74,8 +63,8 @@ def _mix64_array(z: np.ndarray) -> np.ndarray:
 def stream_words(seed: int, start: int, count: int) -> np.ndarray:
     """Words ``start .. start+count-1`` of the stream with the given seed."""
     idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    states = np.uint64(seed & _MASK64) + idx * _U64_GAMMA
-    return _mix64_array(states)
+    states = np.uint64(int(seed) % 2**64) + idx * _GAMMA
+    return _mix64(states)
 
 
 def _words_to_unit(words: np.ndarray) -> np.ndarray:
@@ -91,50 +80,39 @@ def _box_muller(w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
 def indexed_normals(seeds, normal_indices) -> np.ndarray:
     """Standard normals addressed by (stream seed, normal index).
 
-    ``seeds`` and ``normal_indices`` are broadcast against each other; entry
-    ``(s, k)`` equals the ``k``-th value of ``RngStream(s).standard_normal()``
-    on a fresh stream.  Used for bulk Wiener-increment generation where every
+    ``seeds`` and ``normal_indices`` broadcast against each other (two
+    scalars give a 0-d result); entry ``(s, k)`` is normal ``k`` of a fresh
+    ``RngStream(s)``.  Used for bulk Wiener-increment generation where every
     path owns its own stream.
     """
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    idx = np.asarray(normal_indices, dtype=np.uint64)
-    seeds, idx = np.broadcast_arrays(seeds, idx)
+    seeds, idx = np.broadcast_arrays(
+        np.asarray(seeds, dtype=np.uint64), np.asarray(normal_indices, dtype=np.uint64)
+    )
+    shape = seeds.shape
+    seeds, idx = np.atleast_1d(seeds, idx)
     two_i = idx * np.uint64(2)
-    w1 = _mix64_array(seeds + (two_i + np.uint64(1)) * _U64_GAMMA)
-    w2 = _mix64_array(seeds + (two_i + np.uint64(2)) * _U64_GAMMA)
-    return _box_muller(w1, w2)
+    w1 = _mix64(seeds + (two_i + np.uint64(1)) * _GAMMA)
+    w2 = _mix64(seeds + (two_i + np.uint64(2)) * _GAMMA)
+    return _box_muller(w1, w2).reshape(shape)
 
 
 class RngStream:
     """Deterministic random stream with explicit seed and word counter.
 
-    Two streams constructed with the same seed produce identical draws; the
-    module docstring freezes the exact algorithm.  A stream is single-owner:
-    share seeds, not stream objects, across concurrent work.
+    Each draw reads the next words of the stream as one array, so
+    ``normals(a)`` then ``normals(b)`` equals ``normals(a + b)``; the module
+    docstring freezes the algorithm.  A stream is single-owner: share seeds,
+    not stream objects, across concurrent work.
     """
 
     __slots__ = ("seed", "_count")
 
     def __init__(self, seed: int):
-        self.seed = int(seed) & _MASK64
+        self.seed = int(seed) % 2**64
         self._count = 0
 
-    def next_uint64(self) -> int:
-        state = (self.seed + ((self._count + 1) * _GAMMA)) & _MASK64
-        self._count += 1
-        return _mix64_int(state)
-
-    def uniform(self) -> float:
-        """One uniform draw in (0, 1]."""
-        return ((self.next_uint64() >> 11) + 1) * _INV_2_53
-
-    def standard_normal(self) -> float:
-        u1 = self.uniform()
-        u2 = self.uniform()
-        return math.sqrt(-2.0 * math.log(u1)) * math.cos(_TWO_PI * u2)
-
     def normals(self, count: int) -> np.ndarray:
-        """``count`` standard normals, identical to repeated scalar draws."""
+        """The next ``count`` standard normals, two words each."""
         if count < 0:
             raise ValidationError("normals count must be nonnegative")
         words = stream_words(self.seed, self._count, 2 * count)
@@ -142,17 +120,21 @@ class RngStream:
         return _box_muller(words[0::2], words[1::2])
 
     def uniforms(self, count: int) -> np.ndarray:
+        """The next ``count`` uniforms in (0, 1], one word each."""
         words = stream_words(self.seed, self._count, count)
         self._count += count
         return _words_to_unit(words)
 
     def shuffled_indices(self, n: int) -> np.ndarray:
-        """Deterministic Fisher-Yates permutation of ``range(n)``."""
-        idx = np.arange(n)
-        for i in range(n - 1, 0, -1):
-            j = min(int(self.uniform() * (i + 1)), i)
+        """Fisher-Yates permutation of ``range(n)`` from the next ``n - 1`` uniforms."""
+        sizes = np.arange(n, 1, -1)
+        u = self.uniforms(max(n - 1, 0))
+        # float64 products of integers below 2**53 truncate exactly as int()
+        picks = np.minimum((u * sizes).astype(np.int64), sizes - 1).tolist()
+        idx = list(range(n))
+        for i, j in zip(range(n - 1, 0, -1), picks):
             idx[i], idx[j] = idx[j], idx[i]
-        return idx
+        return np.array(idx, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -231,14 +213,3 @@ def pca_fit(points, k: int) -> PcaResult:
         degenerate=False,
     )
 
-
-def pca_project(basis: np.ndarray, mean: np.ndarray, x) -> np.ndarray:
-    """Project ``x`` (one vector or an ``(n, d)`` batch) onto the basis rows."""
-    basis = np.asarray(basis, dtype=np.float64)
-    mean = np.asarray(mean, dtype=np.float64)
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.shape[-1] != basis.shape[1] or mean.shape[0] != basis.shape[1]:
-        raise DimensionMismatchError(
-            f"cannot project shape {arr.shape} through basis {basis.shape}"
-        )
-    return (arr - mean) @ basis.T

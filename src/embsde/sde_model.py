@@ -81,9 +81,6 @@ class TimeEncoding:
         out[:, 1::2] = np.cos(angles)
         return out
 
-    def encode(self, t: float) -> np.ndarray:
-        return self.encode_batch([t])[0]
-
     def to_dict(self) -> dict:
         return {"kind": self.kind, "horizon": self.horizon, "n_pairs": self.n_pairs}
 
@@ -128,13 +125,6 @@ class EmbeddingTrajectory:
     @property
     def dim(self) -> int:
         return self.states.shape[1]
-
-    @property
-    def uniform_spacing(self) -> bool:
-        deltas = np.diff(self.times)
-        if deltas.size == 0:
-            return True
-        return bool(np.max(np.abs(deltas - deltas[0])) < 1e-12)
 
 
 class SdeModel:

@@ -24,7 +24,7 @@ from embsde.diagnostics import (
 )
 from embsde.estimation import TrainingConfig, fit
 from embsde.mlp import glorot_init
-from embsde.numeric_core import RngStream
+from embsde.numeric_core import RngStream, stream_words
 from embsde.sde_model import (
     EmbeddingTrajectory,
     LinearSdeSpec,
@@ -70,9 +70,11 @@ def test_criterion_01_gradient_correctness():
     start = time.perf_counter()
     worst = 0.0
     for trial in range(100):
+        words = stream_words(9_000 + trial, 0, 5).tolist()
+        n_layers = words[0] % 3 + 1
+        dims = [w % 5 + 1 for w in words[1 : n_layers + 2]]
         stream = RngStream(9_000 + trial)
-        n_layers = int(stream.next_uint64() % 3) + 1
-        dims = [int(stream.next_uint64() % 5) + 1 for _ in range(n_layers + 1)]
+        stream.uniforms(n_layers + 2)  # continue past the words the sizes used
         hidden = ("tanh", "relu")[trial % 2]
         output = ("identity", "softplus")[(trial // 2) % 2]
         net = glorot_init(dims, stream, hidden, output)

@@ -69,6 +69,19 @@ class TestArgumentHandling:
         assert info.value.code == 1
 
 
+class TestIoErrors:
+    @pytest.mark.parametrize("target", ["missing/x.jsonl", "a_directory"])
+    def test_unwritable_out_exits_1_naming_the_path(self, tmp_path, capsys, target):
+        (tmp_path / "a_directory").mkdir()
+        out = str(tmp_path / target)
+        rc = main(["synth-ou", "--out", out, "--n-traj", "2", "--steps", "3"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "i/o error" in err and out in err
+        assert ".tmp-" not in err
+        assert not list(tmp_path.glob(".tmp-*"))
+
+
 class TestPipeline:
     def test_synth_train_losses(self, tmp_path, capsys):
         data = _synth(tmp_path)

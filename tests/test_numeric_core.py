@@ -13,7 +13,6 @@ from embsde.numeric_core import (
     RngStream,
     indexed_normals,
     pca_fit,
-    pca_project,
     stream_words,
 )
 from embsde.sde_model import LinearSdeSpec, linear_sde_model
@@ -24,16 +23,57 @@ from embsde.sde_model import LinearSdeSpec, linear_sde_model
 # ---------------------------------------------------------------------------
 
 
+MASK64 = 2**64 - 1
+
+
+class ScalarSplitMix64:
+    """The frozen stream drawn one word at a time with Python ints.
+
+    Written from the module docstring's algorithm, independently of the
+    package's array code, as the reference the array stream must equal.
+    """
+
+    def __init__(self, seed):
+        self.seed = seed & MASK64
+        self.count = 0
+
+    def next_word(self):
+        self.count += 1
+        z = (self.seed + self.count * 0x9E3779B97F4A7C15) & MASK64
+        z ^= z >> 30
+        z = (z * 0xBF58476D1CE4E5B9) & MASK64
+        z ^= z >> 27
+        z = (z * 0x94D049BB133111EB) & MASK64
+        return z ^ (z >> 31)
+
+    def uniform(self):
+        return ((self.next_word() >> 11) + 1) * 2.0**-53
+
+    def standard_normal(self):
+        u1 = self.uniform()
+        u2 = self.uniform()
+        return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+
+    def shuffled_indices(self, n):
+        idx = list(range(n))
+        for i in range(n - 1, 0, -1):
+            j = min(int(self.uniform() * (i + 1)), i)
+            idx[i], idx[j] = idx[j], idx[i]
+        return idx
+
+
 class TestRngStream:
     def test_same_seed_same_sequence(self):
         a = RngStream(1234)
         b = RngStream(1234)
-        assert [a.next_uint64() for _ in range(50)] == [b.next_uint64() for _ in range(50)]
+        np.testing.assert_array_equal(a.uniforms(50), b.uniforms(50))
+        ref = ScalarSplitMix64(1234)
+        assert stream_words(1234, 0, 50).tolist() == [ref.next_word() for _ in range(50)]
 
     def test_different_seeds_differ(self):
-        a = RngStream(1)
-        b = RngStream(2)
-        assert [a.next_uint64() for _ in range(8)] != [b.next_uint64() for _ in range(8)]
+        assert stream_words(1, 0, 8).tolist() != stream_words(2, 0, 8).tolist()
+        ref = ScalarSplitMix64(2)
+        assert stream_words(2, 0, 8).tolist() == [ref.next_word() for _ in range(8)]
 
     def test_known_first_word(self):
         # frozen algorithm: word 0 of seed 0 is mix64(GAMMA)
@@ -43,7 +83,8 @@ class TestRngStream:
         z ^= z >> 27
         z = (z * 0x94D049BB133111EB) % 2**64
         z ^= z >> 31
-        assert RngStream(0).next_uint64() == z
+        assert int(stream_words(0, 0, 1)[0]) == z
+        assert ScalarSplitMix64(0).next_word() == z
 
     def test_uniform_range_and_mean(self):
         rng = RngStream(7)
@@ -59,28 +100,27 @@ class TestRngStream:
         assert abs(((z - z.mean()) ** 3).mean()) < 0.05
 
     def test_vectorized_matches_scalar(self):
-        scalar = RngStream(42)
+        ref = ScalarSplitMix64(42)
         vec = RngStream(42)
-        expected = np.array([scalar.standard_normal() for _ in range(257)])
+        expected = np.array([ref.standard_normal() for _ in range(257)])
         got = vec.normals(257)
         np.testing.assert_array_equal(got, expected)
         # both streams consumed the same number of words
-        assert scalar.uniform() == vec.uniform()
+        assert vec.uniforms(1)[0] == ref.uniform()
 
     def test_vectorized_uniforms_match_scalar(self):
-        scalar = RngStream(43)
-        vec = RngStream(43)
-        expected = np.array([scalar.uniform() for _ in range(100)])
-        np.testing.assert_array_equal(vec.uniforms(100), expected)
+        ref = ScalarSplitMix64(43)
+        expected = np.array([ref.uniform() for _ in range(100)])
+        np.testing.assert_array_equal(RngStream(43).uniforms(100), expected)
 
     def test_mixed_scalar_vector_draws_continue_stream(self):
-        a = RngStream(5)
+        ref = ScalarSplitMix64(5)
         b = RngStream(5)
-        seq_a = [a.standard_normal() for _ in range(10)]
+        seq_a = [ref.standard_normal() for _ in range(10)]
         first4 = b.normals(4)
-        mid = b.standard_normal()
+        mid = b.normals(1)
         rest = b.normals(5)
-        seq_b = list(first4) + [mid] + list(rest)
+        seq_b = list(first4) + list(mid) + list(rest)
         np.testing.assert_array_equal(np.array(seq_b), np.array(seq_a))
 
     def test_stream_words_windowing(self):
@@ -100,6 +140,16 @@ class TestRngStream:
         np.testing.assert_array_equal(block[0], RngStream(3).normals(5))
         np.testing.assert_array_equal(block[1], RngStream(9).normals(5))
 
+    @pytest.mark.parametrize("seed", [13, 2**63 + 5])
+    def test_indexed_normals_scalar_is_0d_without_warnings(self, seed):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            z = indexed_normals(np.uint64(seed), 0)
+            block = indexed_normals(seed, np.arange(3))
+        assert np.ndim(z) == 0
+        assert z == RngStream(seed).normals(1)[0]
+        np.testing.assert_array_equal(block, RngStream(seed).normals(3))
+
     def test_negative_count_rejected(self):
         with pytest.raises(ValidationError):
             RngStream(0).normals(-1)
@@ -108,6 +158,17 @@ class TestRngStream:
         idx = RngStream(8).shuffled_indices(100)
         assert sorted(idx.tolist()) == list(range(100))
         assert idx.tolist() != list(range(100))
+
+    @pytest.mark.parametrize("seed", [8, 2**63 + 5])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 17, 1000])
+    def test_shuffled_indices_match_scalar_fisher_yates(self, seed, n):
+        ref = ScalarSplitMix64(seed)
+        stream = RngStream(seed)
+        idx = stream.shuffled_indices(n)
+        assert idx.dtype == np.int64 and idx.shape == (n,)
+        assert idx.tolist() == ref.shuffled_indices(n)
+        # the stream continues where the scalar shuffle left it
+        assert stream.uniforms(2).tolist() == [ref.uniform(), ref.uniform()]
 
     @given(st.integers(min_value=0, max_value=2**64 - 1))
     @settings(max_examples=25, deadline=None)
@@ -274,7 +335,7 @@ class TestPcaFit:
         rng = np.random.default_rng(3)
         pts = rng.standard_normal((300, 5)) @ np.diag([4, 2, 1, 0.5, 0.2])
         res = pca_fit(pts, 2)
-        proj = pca_project(res.basis, res.mean, pts)
+        proj = (pts - res.mean) @ res.basis.T
         recon = res.mean + proj @ res.basis
         residual_var = np.sum((pts - recon) ** 2) / (len(pts) - 1)
         ref = np.sort(np.linalg.eigvalsh(np.cov(pts.T, ddof=1)))[:3].sum()
@@ -284,7 +345,8 @@ class TestPcaFit:
         pts = np.random.default_rng(4).standard_normal((40, 3)) + np.array([10.0, -5.0, 2.0])
         res = pca_fit(pts, 2)
         np.testing.assert_allclose(res.mean, pts.mean(axis=0))
-        assert abs(pca_project(res.basis, res.mean, res.mean)).max() < 1e-12
+        proj = (pts - res.mean) @ res.basis.T
+        assert abs(proj.mean(axis=0)).max() < 1e-12
 
     def test_degenerate_cloud_flagged(self):
         pts = np.tile([1.0, 2.0, 3.0], (10, 1))
@@ -318,11 +380,6 @@ class TestPcaFit:
         pts[1, 0] = np.nan
         with pytest.raises(ValidationError):
             pca_fit(pts, 1)
-
-    def test_project_shape_checks(self):
-        res = pca_fit(np.random.default_rng(0).standard_normal((10, 4)), 2)
-        with pytest.raises(DimensionMismatchError):
-            pca_project(res.basis, res.mean, np.zeros(5))
 
     @given(
         st.integers(min_value=2, max_value=6).flatmap(

@@ -41,16 +41,16 @@ class TestTimeEncoding:
 
     def test_scalar_normalized_value(self):
         enc = TimeEncoding(kind="scalar_normalized", horizon=20.0)
-        np.testing.assert_allclose(enc.encode(5.0), [0.25])
+        np.testing.assert_allclose(enc.encode_batch([5.0])[0], [0.25])
 
     def test_sinusoidal_at_zero(self):
-        feats = TimeEncoding(kind="sinusoidal", n_pairs=2).encode(0.0)
+        feats = TimeEncoding(kind="sinusoidal", n_pairs=2).encode_batch([0.0])[0]
         np.testing.assert_allclose(feats, [0.0, 1.0, 0.0, 1.0])
 
     def test_sinusoidal_ladder(self):
         # slowest pair completes half a cycle at the horizon, next doubles
         enc = TimeEncoding(kind="sinusoidal", horizon=4.0, n_pairs=2)
-        feats = enc.encode(4.0)
+        feats = enc.encode_batch([4.0])[0]
         np.testing.assert_allclose(feats, [0.0, -1.0, 0.0, 1.0], atol=1e-12)
 
     def test_batch_matches_scalar(self):
@@ -58,7 +58,7 @@ class TestTimeEncoding:
         ts = [0.0, 0.7, 1.9]
         batch = enc.encode_batch(ts)
         for i, t in enumerate(ts):
-            np.testing.assert_array_equal(batch[i], enc.encode(t))
+            np.testing.assert_array_equal(batch[i], enc.encode_batch([t])[0])
 
     def test_dict_round_trip(self):
         enc = TimeEncoding(kind="sinusoidal", horizon=7.5, n_pairs=2)
@@ -78,11 +78,6 @@ class TestEmbeddingTrajectory:
         traj = EmbeddingTrajectory(np.zeros((3, 2)), [0.0, 1.0, 2.0], ["a", "b", "c"])
         assert len(traj) == 3
         assert traj.dim == 2
-        assert traj.uniform_spacing
-
-    def test_nonuniform_flagged(self):
-        traj = EmbeddingTrajectory(np.zeros((3, 1)), [0.0, 1.0, 3.0])
-        assert not traj.uniform_spacing
 
     def test_times_must_increase(self):
         with pytest.raises(ValidationError):
@@ -96,7 +91,7 @@ class TestEmbeddingTrajectory:
 
     def test_single_state(self):
         traj = EmbeddingTrajectory(np.ones((1, 4)), [0.0])
-        assert len(traj) == 1 and traj.uniform_spacing
+        assert len(traj) == 1
 
 
 class TestNoisePath:
