@@ -142,15 +142,20 @@ def _loss_kernel(mu, sigma, x, x_next, dt, with_grads=False):
     n = x.shape[0]
     dt = dt[:, None]
     resid = x_next - x - mu * dt
+    # (n, d) temporaries in place: on a whole split they set the evaluation's peak memory
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        drift = float(np.mean(np.sum(resid * resid, axis=1)))
-        terms = resid**2 / (2.0 * sigma**2 * dt) + np.log(sigma) + 0.5 * np.log(dt)
+        if with_grads:  # before resid is squared in place
+            grad_mu = (-2.0 / n) * resid * dt
+            grad_sigma = (1.0 / n) * (-(resid**2) / (sigma**3 * dt) + 1.0 / sigma)
+        terms = np.square(resid, out=resid)
+        drift = float(np.mean(np.sum(terms, axis=1)))
+        scale = sigma**2 * 2.0
+        scale *= dt
+        terms /= scale
+        terms += np.log(sigma, out=scale)
+        terms += 0.5 * np.log(dt)
         diffusion = float(np.mean(np.sum(terms, axis=1)))
-        if not with_grads:
-            return drift, diffusion
-        grad_mu = (-2.0 / n) * resid * dt
-        grad_sigma = (1.0 / n) * (-(resid**2) / (sigma**3 * dt) + 1.0 / sigma)
-    return drift, diffusion, grad_mu, grad_sigma
+    return (drift, diffusion, grad_mu, grad_sigma) if with_grads else (drift, diffusion)
 
 
 def transition_losses(model: SdeModel, transitions: Transitions) -> tuple[float, float]:
@@ -163,9 +168,19 @@ def transition_losses(model: SdeModel, transitions: Transitions) -> tuple[float,
     """
     if len(transitions) == 0:
         raise ValidationError("no transitions to evaluate")
-    x, t = transitions.x, transitions.t
+    return _split_losses(model, transitions, _split_input(model, transitions))
+
+
+def _split_input(model: SdeModel, transitions: Transitions) -> np.ndarray:
+    """The net input rows of every transition, shared by both nets."""
+    return model._net_input(transitions.x, model.time_encoding.encode_batch(transitions.t))
+
+
+def _split_losses(model: SdeModel, transitions: Transitions, inputs: np.ndarray):
+    """``(drift, diffusion)`` losses over ``transitions`` from their net input rows."""
     return _loss_kernel(
-        model.drift(x, t), model.diffusion(x, t), x, transitions.x_next, transitions.dt
+        model.drift_net.forward(inputs), model.diffusion_net.forward(inputs),
+        transitions.x, transitions.x_next, transitions.dt,
     )
 
 
@@ -202,13 +217,6 @@ def fit(
 
     rng = RngStream(config.seed)
     train_trajs, val_trajs = split_by_trajectory(trajectories, config.validation_fraction, rng)
-    train = extract_transitions(train_trajs)
-    if len(train) == 0:
-        raise ValidationError("no transitions to train on (all trajectories have length 1?)")
-    splits = [("train", train)]
-    if val_trajs and len(val := extract_transitions(val_trajs)):
-        splits.append(("validation", val))
-
     t_max = max(float(traj.times[-1]) for traj in trajectories)
     encoding = TimeEncoding(
         kind=config.time_encoding_kind,
@@ -219,7 +227,15 @@ def fit(
     drift_net = glorot_init(layer_dims, rng, config.hidden_activation, "identity")
     diffusion_net = glorot_init(layer_dims, rng, config.hidden_activation, "softplus")
     model = SdeModel(dim, drift_net, diffusion_net, encoding)
-    feats_all = np.concatenate([train.x, encoding.encode_batch(train.t)], axis=1)
+    # the split arrays come after the long-lived nets, so the heap above the nets holds
+    # nothing that outlives the fit and the allocator can give it back on return
+    train = extract_transitions(train_trajs)
+    if len(train) == 0:
+        raise ValidationError("no transitions to train on (all trajectories have length 1?)")
+    feats_all = _split_input(model, train)
+    splits = [("train", train, feats_all)]
+    if val_trajs and len(val := extract_transitions(val_trajs)):
+        splits.append(("validation", val, _split_input(model, val)))
 
     records: list[LossRecord] = []
     last_good = 0
@@ -250,8 +266,8 @@ def fit(
                     sgd_step(diffusion_net, grad, config.learning_rate, config.grad_clip)
 
             epoch_records = []
-            for split, data in splits:
-                l_mu, l_sigma = transition_losses(model, data)
+            for split, data, inputs in splits:
+                l_mu, l_sigma = _split_losses(model, data, inputs)
                 total = config.drift_weight * l_mu + config.diffusion_weight * l_sigma
                 epoch_records.append(LossRecord(epoch, split, total, l_mu, l_sigma))
         if not all(math.isfinite(r.total) for r in epoch_records):

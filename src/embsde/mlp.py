@@ -51,7 +51,11 @@ def _apply_activation(name: str, z: np.ndarray) -> np.ndarray:
     if name == "identity":
         return z
     if name == "softplus":
-        return np.maximum(np.log1p(np.exp(-np.abs(z))) + np.maximum(z, 0.0), _SOFTPLUS_FLOOR)
+        # in place on its own array, never on z: whole-split evaluation peaks here
+        out = -np.abs(z)
+        np.log1p(np.exp(out, out=out), out=out)
+        np.add(out, z, out=out, where=z > 0.0)  # adds max(z, 0) without a temporary
+        return np.maximum(out, _SOFTPLUS_FLOOR, out=out)
     raise ValidationError(f"unknown activation {name!r}")
 
 
@@ -141,7 +145,9 @@ class MlpNetwork:
         """Evaluate the network on one vector or an ``(n, d)`` batch."""
         a, single = self._promote(x)
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            a = _apply_activation(self._layer_activation(i), a @ w.T + b)
+            z = a @ w.T
+            z += b  # in place: one array per layer at the peak of whole-split evaluation
+            a = _apply_activation(self._layer_activation(i), z)
         return a[0] if single else a
 
     def forward_with_cache(self, x) -> tuple[np.ndarray, list]:

@@ -121,6 +121,8 @@ class RngStream:
 
     def uniforms(self, count: int) -> np.ndarray:
         """The next ``count`` uniforms in (0, 1], one word each."""
+        if count < 0:
+            raise ValidationError("uniforms count must be nonnegative")
         words = stream_words(self.seed, self._count, count)
         self._count += count
         return _words_to_unit(words)

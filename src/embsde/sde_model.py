@@ -8,7 +8,8 @@ with diagonal diffusion: ``sigma`` returns a d-vector multiplied
 componentwise into the Wiener increment.  Integration is explicit
 Euler-Maruyama; each path owns a noise stream derived from the caller's seed
 XOR the path index, which makes single-path and ensemble simulation produce
-the same numbers and lets paths be generated independently.
+the same numbers and lets paths be generated independently.  Noise is drawn in
+blocks of steps (at most 2**16 normals) at addresses fixed by path and step.
 
 Also here: the question-to-answer generation procedure (start from the mean
 of the question embeddings, integrate forward one token per step), analytic
@@ -33,6 +34,8 @@ from .numeric_core import RngStream, indexed_normals
 
 # abort integration when any state component leaves this box
 BLOWUP_LIMIT = 1e6
+# normals per indexed_normals call in _euler_maruyama: bounds the noise block's memory
+_NOISE_BLOCK = 2**16
 
 TIME_ENCODING_KINDS = ("none", "scalar_normalized", "sinusoidal")
 
@@ -157,21 +160,24 @@ class SdeModel:
         self.diffusion_net = diffusion_net
         self.time_encoding = enc
 
-    def _net_input(self, x, t) -> np.ndarray:
+    def _net_input(self, x, features) -> np.ndarray:
+        """Input rows ``[x | time features]`` of both nets; ``features`` broadcast over rows."""
         xs = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if xs.shape[1] != self.dim:
             raise DimensionMismatchError(f"state dim {xs.shape[1]}, model dim {self.dim}")
-        ts = np.broadcast_to(np.asarray(t, dtype=np.float64), (xs.shape[0],))
-        return np.concatenate([xs, self.time_encoding.encode_batch(ts)], axis=1)
+        out = np.empty((xs.shape[0], self.dim + self.time_encoding.width))
+        out[:, : self.dim] = xs
+        out[:, self.dim :] = features
+        return out
 
     def drift(self, x, t) -> np.ndarray:
         """Drift field at ``(x, t)``; batched when ``x`` is ``(n, d)``."""
-        out = self.drift_net.forward(self._net_input(x, t))
+        out = self.drift_net.forward(self._net_input(x, self.time_encoding.encode_batch(t)))
         return out[0] if np.ndim(x) == 1 else out
 
     def diffusion(self, x, t) -> np.ndarray:
         """Diffusion magnitudes at ``(x, t)``; positive for softplus heads."""
-        out = self.diffusion_net.forward(self._net_input(x, t))
+        out = self.diffusion_net.forward(self._net_input(x, self.time_encoding.encode_batch(t)))
         return out[0] if np.ndim(x) == 1 else out
 
 
@@ -227,37 +233,42 @@ def _euler_maruyama(
     """Euler-Maruyama paths from the start states ``x0`` of shape ``(n, d)``.
 
     Step ``k`` of path ``p`` adds ``sqrt(dt)`` times normals ``k*d .. k*d+d-1``
-    of the stream seeded ``seeds[p]``.  Returns ``(n, n_steps + 1, d)``
-    states; raises :class:`SimulationBlowupError` with every offending path
-    once a state leaves ``|x| <= BLOWUP_LIMIT``.
+    of the stream seeded ``seeds[p]``, whatever the blocking: one
+    :func:`indexed_normals` call draws a block of steps (at most 2**16 normals,
+    at least one step), whose time features are encoded once.  Returns
+    ``(n, n_steps + 1, d)`` states; raises :class:`SimulationBlowupError`
+    with every offending path once a state leaves ``|x| <= BLOWUP_LIMIT``.
     """
     if n_steps < 0:
         raise ValidationError(f"bad request n_steps={n_steps}")
     if not (dt > 0.0):
         raise ValidationError(f"dt must be positive, got {dt}")
     n, d = x0.shape
-    seeds = seeds[:, None]
-    sqrt_dt = math.sqrt(dt)
     out = np.empty((n, n_steps + 1, d))
     out[:, 0, :] = x0
     x = out[:, 0, :]
-    dim_idx = np.arange(d, dtype=np.uint64)[None, :]
-    for k in range(n_steps):
-        t = k * dt
-        dW = sqrt_dt * indexed_normals(seeds, np.uint64(k * d) + dim_idx)
-        with np.errstate(over="ignore", invalid="ignore"):  # blow-up handled below
-            x = x + model.drift(x, t) * dt + model.diffusion(x, t) * dW
-        bad = ~(np.abs(x) <= BLOWUP_LIMIT).all(axis=1)  # NaN fails the comparison too
-        if bad.any():
-            paths = np.flatnonzero(bad).tolist()
-            raise SimulationBlowupError(
-                f"{len(paths)} of {n} paths left |x| <= {BLOWUP_LIMIT:g} at step {k + 1}",
-                step=k + 1,
-                prefix_states=out[:, : k + 1].copy(),
-                prefix_times=dt * np.arange(k + 1),
-                paths=paths,
-            )
-        out[:, k + 1, :] = x
+    block = max(1, _NOISE_BLOCK // (n * d))
+    for start in range(0, n_steps, block):
+        ks = np.arange(start, min(start + block, n_steps))
+        idx = np.arange(start * d, (start + ks.size) * d, dtype=np.uint64)
+        dW = math.sqrt(dt) * indexed_normals(seeds[:, None], idx).reshape(n, ks.size, d)
+        feats = model.time_encoding.encode_batch(ks * dt)
+        for i, k in enumerate(ks.tolist()):
+            inp = model._net_input(x, feats[i])
+            with np.errstate(over="ignore", invalid="ignore"):  # blow-up handled below
+                mu, sigma = model.drift_net.forward(inp), model.diffusion_net.forward(inp)
+                x = x + mu * dt + sigma * dW[:, i]
+            bad = ~(np.abs(x) <= BLOWUP_LIMIT).all(axis=1)  # NaN fails the comparison too
+            if bad.any():
+                paths = np.flatnonzero(bad).tolist()
+                raise SimulationBlowupError(
+                    f"{len(paths)} of {n} paths left |x| <= {BLOWUP_LIMIT:g} at step {k + 1}",
+                    step=k + 1,
+                    prefix_states=out[:, : k + 1].copy(),
+                    prefix_times=dt * np.arange(k + 1),
+                    paths=paths,
+                )
+            out[:, k + 1, :] = x
     return out
 
 

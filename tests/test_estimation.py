@@ -271,6 +271,20 @@ class TestFit:
         for r in records:
             assert abs(r.total - (2.0 * r.drift + 0.5 * r.diffusion)) < 1e-12
 
+    def test_last_epoch_records_equal_transition_losses(self):
+        # the per-epoch evaluation reuses each split's net input; transition_losses builds its own
+        trajs = sample_linear_trajectories(LinearSdeSpec(-1.0, 0.5, 2), 12, 10, 0.1, seed=4)
+        cfg = TrainingConfig(
+            epochs=2, batch_size=16, seed=6, validation_fraction=0.25, drift_weight=3.0,
+            hidden_dims=(8, 4), time_encoding_kind="sinusoidal",
+        )
+        model, records = fit(trajs, cfg)
+        train, val = split_by_trajectory(trajs, 0.25, RngStream(6))
+        for record, part in zip(records[-2:], (train, val)):
+            l_mu, l_sigma = transition_losses(model, extract_transitions(part))
+            assert (record.drift, record.diffusion) == (l_mu, l_sigma)
+            assert record.total == 3.0 * l_mu + 1.0 * l_sigma
+
     def test_loss_decreases_on_ou_data(self):
         trajs = sample_linear_trajectories(LinearSdeSpec(-1.0, 0.5, 1), 200, 20, 0.05, seed=9)
         cfg = TrainingConfig(epochs=8, batch_size=256, learning_rate=0.05, seed=3)

@@ -5,7 +5,7 @@ import pytest
 
 from embsde.cli_io import load_model, save_model
 from embsde.errors import DimensionMismatchError, ValidationError
-from embsde.mlp import MlpNetwork, glorot_init, sgd_step
+from embsde.mlp import MlpNetwork, _apply_activation, glorot_init, sgd_step
 from embsde.numeric_core import RngStream
 from embsde.sde_model import SdeModel, TimeEncoding
 
@@ -34,6 +34,19 @@ class TestForward:
         net.biases[-1] -= 800.0  # drive pre-activation far negative
         out = net.forward(np.zeros(3))
         assert np.all(out > 0.0)
+
+    def test_softplus_leaves_its_input_and_matches_the_formula(self):
+        # built in place on its own output; z is also the pre-activation that backward reads
+        z = np.concatenate([
+            [-1e300, -1000.0, -745.5, -745.0, -744.0, -50.0, -1e-3, -0.0, 0.0, 1e-3, 3.0],
+            [36.0, 700.0, 709.0, 710.0, 1e300],
+            RngStream(2).normals(48) * 30.0,
+        ]).reshape(8, 8)
+        before = z.copy()
+        out = _apply_activation("softplus", z)
+        np.testing.assert_array_equal(z, before)
+        expected = np.maximum(np.log1p(np.exp(-np.abs(z))) + np.maximum(z, 0.0), 1e-300)
+        assert out.tobytes() == expected.tobytes()
 
     def test_relu_hidden(self):
         net = glorot_init([2, 5, 1], RngStream(0), "relu")

@@ -154,6 +154,13 @@ class TestRngStream:
         with pytest.raises(ValidationError):
             RngStream(0).normals(-1)
 
+    def test_negative_uniform_count_rejected_without_rewinding(self):
+        s = RngStream(7)
+        s.uniforms(2)
+        with pytest.raises(ValidationError):
+            s.uniforms(-2)
+        np.testing.assert_array_equal(s.uniforms(2), RngStream(7).uniforms(4)[2:])
+
     def test_shuffled_indices_is_permutation(self):
         idx = RngStream(8).shuffled_indices(100)
         assert sorted(idx.tolist()) == list(range(100))

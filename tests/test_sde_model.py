@@ -12,6 +12,8 @@ from embsde.mlp import MlpNetwork, glorot_init
 from embsde.numeric_core import RngStream, indexed_normals
 from embsde.sde_model import (
     BLOWUP_LIMIT,
+    TIME_ENCODING_KINDS,
+    _NOISE_BLOCK,
     EmbeddingTrajectory,
     LinearSdeSpec,
     PicardResult,
@@ -315,6 +317,76 @@ class TestSimulateEnsemble:
             simulate_ensemble(model, np.zeros(2), 0, 1, 1.0, 0)
         with pytest.raises(ValidationError):
             simulate_ensemble(model, np.zeros(2), 1, 1, -1.0, 0)
+
+
+def glorot_model(dim, kind, seed=3):
+    enc = TimeEncoding(kind=kind, horizon=2.0, n_pairs=3)
+    dims = [dim + enc.width, 16, dim]
+    stream = RngStream(seed)
+    return SdeModel(
+        dim, glorot_init(dims, stream, "tanh", "identity"),
+        glorot_init(dims, stream, "tanh", "softplus"), enc,
+    )
+
+
+def per_step_reference(model, x0, seed, n_steps, dt):
+    """Euler-Maruyama one step at a time: one noise draw, one drift and one diffusion call.
+
+    Returns ``(states, step, paths)``: the states up to the last finite step,
+    and for a blow-up the offending step and paths (``None`` and ``[]``
+    otherwise).
+    """
+    n, d = x0.shape
+    seeds = (np.uint64(seed) ^ np.arange(n, dtype=np.uint64))[:, None]
+    states = [x0]
+    x = x0
+    for k in range(n_steps):
+        z = indexed_normals(seeds, np.uint64(k * d) + np.arange(d, dtype=np.uint64))
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = x + model.drift(x, k * dt) * dt + model.diffusion(x, k * dt) * (math.sqrt(dt) * z)
+        bad = np.flatnonzero(~(np.abs(x) <= BLOWUP_LIMIT).all(axis=1)).tolist()
+        if bad:
+            return np.stack(states, axis=1), k + 1, bad
+        states.append(x)
+    return np.stack(states, axis=1), None, []
+
+
+class TestBlockedNoiseKernel:
+    """The integrator draws noise in blocks of steps; the paths must not depend on it."""
+
+    D = 64
+    # (paths, dim, steps): one block for all steps; several blocks with a partial
+    # last one (3 steps per block, 8 steps); one step's noise at and above the bound
+    SIZES = [
+        (7, 3, 40),
+        (_NOISE_BLOCK // (3 * D), D, 8),
+        (_NOISE_BLOCK // D, D, 3),
+        (_NOISE_BLOCK // D + 1, D, 3),
+    ]
+
+    @pytest.mark.parametrize("kind", TIME_ENCODING_KINDS)
+    @pytest.mark.parametrize("n, d, n_steps", SIZES)
+    def test_matches_per_step_reference(self, n, d, n_steps, kind):
+        model = glorot_model(d, kind)
+        x0 = np.random.default_rng(n).standard_normal((n, d))
+        ens = simulate_ensemble(model, x0, n, n_steps, dt=0.05, seed=29)
+        ref, step, _ = per_step_reference(model, x0, 29, n_steps, 0.05)
+        assert step is None
+        np.testing.assert_array_equal(ens, ref)
+
+    def test_blowup_inside_a_block_matches_reference(self):
+        n, d, dt = _NOISE_BLOCK // (3 * self.D), self.D, 0.1
+        model = glorot_model(d, "sinusoidal")
+        model.drift_net.biases[-1][:] = 1e6  # every path drifts out; the first five earlier
+        x0 = np.random.default_rng(1).standard_normal((n, d))
+        x0[:5] += 2.5e5
+        with pytest.raises(SimulationBlowupError) as exc:
+            simulate_ensemble(model, x0, n, 20, dt, seed=3)
+        err = exc.value
+        prefix, step, paths = per_step_reference(model, x0, 3, 20, dt)
+        assert (err.step - 1) % (_NOISE_BLOCK // (n * d)) != 0  # not the block's first step
+        assert (err.step, err.paths) == (step, paths)
+        np.testing.assert_array_equal(err.prefix_states, prefix)
 
 
 class TestGenerateAnswer:
