@@ -30,6 +30,7 @@ from .cli_io import (
     write_moments_csv,
     write_vector_field_csv,
     _atomic_write_text,
+    _trajectory_record,
 )
 from .diagnostics import (
     compare_trajectories,
@@ -89,6 +90,14 @@ def _load_init_vector(path: str, dim: int) -> np.ndarray:
     return vec
 
 
+def _load_nonempty(path: str, purpose: str = "") -> list:
+    """The trajectories in ``path``; an empty file is refused, naming ``purpose``."""
+    trajectories = load_trajectories(path)
+    if not trajectories:
+        raise ValidationError(f"{path}: no trajectories{purpose}")
+    return trajectories
+
+
 def _subsample_probes(states: np.ndarray, count: int) -> np.ndarray:
     if states.shape[0] <= count:
         return states
@@ -115,9 +124,7 @@ def cmd_synth_ou(args) -> int:
 
 
 def cmd_train(args) -> int:
-    trajectories = load_trajectories(args.data)
-    if not trajectories:
-        raise ValidationError(f"{args.data}: no trajectories to train on")
+    trajectories = _load_nonempty(args.data, " to train on")
     n_transitions = sum(len(t) - 1 for t in trajectories)
     if args.dim_check:
         print(
@@ -168,11 +175,6 @@ def cmd_answer(args) -> int:
     trajectory = generate_answer(
         model, question.states, n_steps=args.steps, dt=args.dt, seed=args.seed
     )
-    record = {
-        "id": "answer-0",
-        "embeddings": trajectory.states.tolist(),
-        "times": trajectory.times.tolist(),
-    }
     if args.out is not None:
         save_trajectories(args.out, [trajectory], ids=["answer-0"])
         print(
@@ -180,15 +182,13 @@ def cmd_answer(args) -> int:
             f"{len(trajectory)} answer states"
         )
     else:
-        print(json.dumps(record, allow_nan=False))
+        print(_trajectory_record(trajectory, "answer-0"))
     return EXIT_OK
 
 
 def cmd_diagnose(args) -> int:
     model = load_model(args.model).model
-    trajectories = load_trajectories(args.data)
-    if not trajectories:
-        raise ValidationError(f"{args.data}: no trajectories to diagnose against")
+    trajectories = _load_nonempty(args.data, " to diagnose against")
     os.makedirs(args.out_dir, exist_ok=True)
 
     pooled = np.vstack([t.states for t in trajectories])
@@ -199,30 +199,24 @@ def cmd_diagnose(args) -> int:
     first = trajectories[0]
     _, errors = compare_trajectories(first, model)
     write_comparison_csv(os.path.join(args.out_dir, "trajectory_compare.csv"), first.times, errors)
-    write_heatmap_csv(
-        os.path.join(args.out_dir, "heatmap.csv"),
-        uncertainty_heatmap(model, first),
-        first.tokens,
-    )
+    heatmap = uncertainty_heatmap(model, first)
+    write_heatmap_csv(os.path.join(args.out_dir, "heatmap.csv"), heatmap, first.tokens)
 
-    wrote_moments = False
     if args.oracle is not None:
         reference = _parse_oracle(args.oracle)
         starts = np.array([t.states[0, 0] for t in trajectories if t.dim == 1])
         if starts.size != len(trajectories):
             raise ValidationError("--oracle moment analysis needs dim-1 data")
-        t_grid = first.times - first.times[0]
         report = moment_monte_carlo(
             model,
             x0_mean=float(starts.mean()),
             x0_var=float(starts.var()),
-            t_grid=t_grid,
+            t_grid=first.times - first.times[0],
             n_paths=args.paths,
             seed=args.seed,
             reference=reference,
         )
         write_moments_csv(os.path.join(args.out_dir, "moments.csv"), report)
-        wrote_moments = True
 
     summary = {
         "regularity": {
@@ -244,16 +238,14 @@ def cmd_diagnose(args) -> int:
     print(
         f"wrote {args.out_dir}: K={regularity.lipschitz_k:.6g} C={regularity.growth_c:.6g} "
         f"max LV={lyapunov.max_generator:.6g} stable={lyapunov.stable_flag}"
-        + (" (+moments.csv)" if wrote_moments else "")
+        + (" (+moments.csv)" if args.oracle is not None else "")
     )
     return EXIT_OK
 
 
 def cmd_field(args) -> int:
     model = load_model(args.model).model
-    trajectories = load_trajectories(args.data)
-    if not trajectories:
-        raise ValidationError(f"{args.data}: no trajectories for the plane fit")
+    trajectories = _load_nonempty(args.data, " for the plane fit")
     grid = drift_vector_field(model, trajectories, grid_resolution=args.res, t=args.t)
     write_vector_field_csv(args.out, grid)
     print(f"wrote {args.out}: {grid.grid_points.shape[0]} grid points")
@@ -261,9 +253,7 @@ def cmd_field(args) -> int:
 
 
 def cmd_importance(args) -> int:
-    trajectories = load_trajectories(args.data)
-    if not trajectories:
-        raise ValidationError(f"{args.data}: no trajectories")
+    trajectories = _load_nonempty(args.data)
     pairs = word_importance(trajectories[0])
     write_importance_csv(args.out, pairs)
     print(f"wrote {args.out}: {len(pairs)} tokens")

@@ -7,7 +7,9 @@ use Python's shortest round-trip float representation, so a load reproduces
 forward outputs exactly; a sha256 checksum over the canonicalized payload
 guards against truncation and bit rot.  Plot data leaves as small CSV files
 with frozen column sets, written atomically (temp file plus rename) with
-``\\n`` line endings so identical runs produce identical bytes.
+``\\n`` line endings so identical runs produce identical bytes.  Each CSV
+writer names its columns and hands them to one column writer, which writes
+numpy arrays as shortest round-trip floats and every other column via ``str``.
 
 The toy embedder stands in for a real embedding model in demos and tests:
 purely hash-based, deterministic, and explicitly non-semantic.
@@ -22,7 +24,7 @@ import json
 import os
 import tempfile
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -33,13 +35,6 @@ from .numeric_core import RngStream
 from .sde_model import EmbeddingTrajectory, SdeModel, TimeEncoding
 
 FORMAT_VERSION = 1
-
-LOSSES_HEADER = ["epoch", "split", "total", "drift", "diffusion"]
-COMPARE_HEADER = ["step", "t", "error"]
-VECTOR_FIELD_HEADER = ["gx", "gy", "ux", "uy", "diffusion_mag"]
-HEATMAP_HEADER = ["position", "token", "magnitude", "log_magnitude"]
-IMPORTANCE_HEADER = ["position", "token", "l2_norm"]
-MOMENTS_HEADER = ["t", "mean_ode", "var_ode", "mean_mc", "var_mc"]
 
 
 def _atomic_write_text(path: str, text: str) -> None:
@@ -57,11 +52,6 @@ def _atomic_write_text(path: str, text: str) -> None:
     except OSError as exc:
         # name the caller's path, not the temporary file written beside it
         raise OSError(exc.errno, exc.strerror, path) from exc
-
-
-def _fmt(value) -> str:
-    """Full-precision decimal text for a float (shortest round-trip form)."""
-    return repr(float(value))
 
 
 # ---------------------------------------------------------------------------
@@ -138,19 +128,20 @@ def save_trajectories(
     path: str, trajectories: list[EmbeddingTrajectory], ids: list[str] | None = None
 ) -> None:
     """Write trajectories as JSONL; ids default to ``traj-<index>``."""
-    if ids is not None and len(ids) != len(trajectories):
+    if ids is None:
+        ids = [f"traj-{i}" for i in range(len(trajectories))]
+    elif len(ids) != len(trajectories):
         raise ValidationError(f"{len(ids)} ids for {len(trajectories)} trajectories")
-    lines = []
-    for i, traj in enumerate(trajectories):
-        record = {
-            "id": ids[i] if ids is not None else f"traj-{i}",
-            "embeddings": traj.states.tolist(),
-            "times": traj.times.tolist(),
-        }
-        if traj.tokens is not None:
-            record["tokens"] = list(traj.tokens)
-        lines.append(json.dumps(record, allow_nan=False))
-    _atomic_write_text(path, "".join(line + "\n" for line in lines))
+    lines = [_trajectory_record(traj, id_) + "\n" for traj, id_ in zip(trajectories, ids)]
+    _atomic_write_text(path, "".join(lines))
+
+
+def _trajectory_record(traj: EmbeddingTrajectory, traj_id: str) -> str:
+    """One JSONL line (without its newline) for a trajectory."""
+    record = {"id": traj_id, "embeddings": traj.states.tolist(), "times": traj.times.tolist()}
+    if traj.tokens is not None:
+        record["tokens"] = list(traj.tokens)
+    return json.dumps(record, allow_nan=False)
 
 
 def toy_embed(text: str, dim: int) -> EmbeddingTrajectory:
@@ -233,16 +224,7 @@ def save_model(
         "drift_net": _net_payload(model.drift_net),
         "diffusion_net": _net_payload(model.diffusion_net),
         "training_config": training_config,
-        "loss_history": [
-            {
-                "epoch": r.epoch,
-                "split": r.split,
-                "total": r.total,
-                "drift": r.drift,
-                "diffusion": r.diffusion,
-            }
-            for r in (loss_history or [])
-        ],
+        "loss_history": [asdict(r) for r in loss_history or []],
     }
     try:
         payload_with_sum = {**payload, "checksum": _canonical_checksum(payload)}
@@ -317,72 +299,60 @@ def load_model(path: str) -> ModelBundle:
 # ---------------------------------------------------------------------------
 
 
-def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
+def _write_csv(path: str, header: str, columns: list) -> None:
+    """Write equal-length columns as the rows under ``header``.
+
+    A numpy array column is written as floats in shortest round-trip form,
+    any other column through ``str``.
+    """
+    texts = [
+        [repr(float(v)) for v in column] if isinstance(column, np.ndarray)
+        else [str(v) for v in column]
+        for column in columns
+    ]
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    writer.writerow(header.split(","))
+    writer.writerows(zip(*texts, strict=True))
     _atomic_write_text(path, buffer.getvalue())
 
 
 def write_losses_csv(path: str, records: list[LossRecord]) -> None:
-    rows = [
-        [str(r.epoch), r.split, _fmt(r.total), _fmt(r.drift), _fmt(r.diffusion)]
-        for r in records
-    ]
-    _write_csv(path, LOSSES_HEADER, rows)
+    losses = np.array([(r.total, r.drift, r.diffusion) for r in records]).reshape(-1, 3)
+    columns = [[r.epoch for r in records], [r.split for r in records], *losses.T]
+    _write_csv(path, "epoch,split,total,drift,diffusion", columns)
 
 
 def write_comparison_csv(path: str, times, per_step_errors: list[float]) -> None:
     """Per-step prediction error norms; step ``k`` lands at ``times[k]``."""
-    rows = [
-        [str(k + 1), _fmt(times[k + 1]), _fmt(err)]
-        for k, err in enumerate(per_step_errors)
-    ]
-    _write_csv(path, COMPARE_HEADER, rows)
+    n = len(per_step_errors)
+    columns = [range(1, n + 1), np.asarray(times)[1 : n + 1], np.asarray(per_step_errors)]
+    _write_csv(path, "step,t,error", columns)
 
 
 def write_vector_field_csv(path: str, grid) -> None:
-    rows = [
-        [
-            _fmt(grid.grid_points[i, 0]),
-            _fmt(grid.grid_points[i, 1]),
-            _fmt(grid.drift_arrows[i, 0]),
-            _fmt(grid.drift_arrows[i, 1]),
-            _fmt(grid.diffusion_magnitudes[i]),
-        ]
-        for i in range(grid.grid_points.shape[0])
-    ]
-    _write_csv(path, VECTOR_FIELD_HEADER, rows)
+    points, arrows = grid.grid_points, grid.drift_arrows
+    columns = [points[:, 0], points[:, 1], arrows[:, 0], arrows[:, 1], grid.diffusion_magnitudes]
+    _write_csv(path, "gx,gy,ux,uy,diffusion_mag", columns)
 
 
 def write_heatmap_csv(
     path: str, entries: list[tuple[int, float, float]], tokens: list[str] | None
 ) -> None:
-    rows = [
-        [str(pos), tokens[pos] if tokens is not None else str(pos), _fmt(mag), _fmt(log_mag)]
-        for pos, mag, log_mag in entries
-    ]
-    _write_csv(path, HEATMAP_HEADER, rows)
+    positions = [pos for pos, _, _ in entries]
+    labels = positions if tokens is None else [tokens[pos] for pos in positions]
+    magnitudes = np.array([(mag, log_mag) for _, mag, log_mag in entries]).reshape(-1, 2)
+    _write_csv(path, "position,token,magnitude,log_magnitude", [positions, labels, *magnitudes.T])
 
 
 def write_importance_csv(path: str, pairs: list[tuple[str, float]]) -> None:
-    rows = [[str(i), token, _fmt(norm)] for i, (token, norm) in enumerate(pairs)]
-    _write_csv(path, IMPORTANCE_HEADER, rows)
+    columns = [range(len(pairs)), [token for token, _ in pairs], np.array([n for _, n in pairs])]
+    _write_csv(path, "position,token,l2_norm", columns)
 
 
 def write_moments_csv(path: str, report) -> None:
     """Frozen moment schema needs both the oracle and MC curves present."""
     if report.mean_ode is None or report.var_ode is None:
         raise ValidationError("moment report has no oracle curves; supply a linear reference")
-    rows = [
-        [
-            _fmt(report.t_grid[i]),
-            _fmt(report.mean_ode[i]),
-            _fmt(report.var_ode[i]),
-            _fmt(report.mean_mc[i]),
-            _fmt(report.var_mc[i]),
-        ]
-        for i in range(report.t_grid.shape[0])
-    ]
-    _write_csv(path, MOMENTS_HEADER, rows)
+    columns = [report.t_grid, report.mean_ode, report.var_ode, report.mean_mc, report.var_mc]
+    _write_csv(path, "t,mean_ode,var_ode,mean_mc,var_mc", columns)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -13,8 +14,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 import embsde
 from embsde.cli import main
 from embsde.cli_io import (
-    IMPORTANCE_HEADER,
-    LOSSES_HEADER,
     load_model,
     load_trajectories,
     save_model,
@@ -106,7 +105,7 @@ class TestPipeline:
         losses_path = str(tmp_path / "losses.csv")
         assert main(["losses", "--model", model_path, "--out", losses_path]) == 0
         lines = open(losses_path).read().splitlines()
-        assert lines[0] == ",".join(LOSSES_HEADER)
+        assert lines[0] == "epoch,split,total,drift,diffusion"
         assert len(lines) == 4
 
     def test_dim_check_reports_without_training(self, tmp_path, capsys):
@@ -133,6 +132,20 @@ class TestPipeline:
         with pytest.warns(UserWarning):
             rc = main(["train", "--data", str(path), "--dim-check"])
         assert rc == 1
+
+    @pytest.mark.parametrize("command, suffix", [
+        (["diagnose", "--out-dir", "diag"], " to diagnose against"),
+        (["field", "--out", "field.csv"], " for the plane fit"),
+        (["importance", "--out", "importance.csv"], ""),
+    ])
+    def test_empty_data_exits_1_with_its_message(self, tmp_path, capsys, command, suffix):
+        path = tmp_path / "empty.jsonl"
+        path.write_text("")
+        model = ["--model", _linear_model(tmp_path, dim=2)] if command[0] != "importance" else []
+        with pytest.warns(UserWarning):
+            rc = main([*command, "--data", str(path), *model])
+        assert rc == 1
+        assert capsys.readouterr().err == f"embsde: error: {path}: no trajectories{suffix}\n"
 
 
 class TestSimulate:
@@ -216,6 +229,17 @@ class TestAnswer:
         start = np.asarray(record["embeddings"][0])
         assert_array_equal(start, toy_embed("why is it so", 3).states.mean(axis=0))
 
+    def test_stdout_line_is_the_out_file(self, tmp_path, capsys):
+        model = _linear_model(tmp_path, b=0.5, dim=3)
+        argv = ["answer", "--model", model, "--question", "why is it so",
+                "--steps", "6", "--dt", "0.1", "--seed", "2"]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "answer.jsonl"
+        assert main([*argv, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert printed.encode() == out.read_bytes()
+
     def test_out_file(self, tmp_path):
         model = _linear_model(tmp_path, dim=2)
         out = str(tmp_path / "answer.jsonl")
@@ -293,8 +317,21 @@ class TestFieldAndImportance:
         out = str(tmp_path / "imp.csv")
         assert main(["importance", "--data", data, "--out", out]) == 0
         lines = open(out).read().splitlines()
-        assert lines[0] == ",".join(IMPORTANCE_HEADER)
+        assert lines[0] == "position,token,l2_norm"
         assert [line.split(",")[1] for line in lines[1:]] == ["the", "cat", "sat"]
+
+    @pytest.mark.parametrize("command", [
+        ["field", "--out", "f.csv"],
+        ["diagnose", "--out-dir", "d"],
+    ])
+    def test_coincident_states_exit_2(self, tmp_path, monkeypatch, capsys, command):
+        # a failed estimate is a numerical error: no PCA plane, no distinct probe pair
+        monkeypatch.chdir(tmp_path)
+        data = tmp_path / "same.jsonl"
+        data.write_text(json.dumps({"embeddings": [[1.0, 2.0]] * 4}) + "\n")
+        rc = main([*command, "--model", _linear_model(tmp_path, dim=2), "--data", str(data)])
+        assert rc == 2
+        assert "numerical error" in capsys.readouterr().err
 
     def test_losses_without_history_exits_1(self, tmp_path, capsys):
         model = _linear_model(tmp_path)
@@ -324,3 +361,28 @@ class TestConsoleEntry:
         proc = _run_module("frobnicate")
         assert proc.returncode == 1
         assert "frobnicate" in proc.stderr  # the CLI ran and rejected the subcommand
+
+
+def _readme_walkthrough() -> list[str]:
+    """The shell lines of the README's CLI walkthrough, continuations joined."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## CLI walkthrough", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [line.strip() for line in lines if line.strip() and not line.lstrip().startswith("#")]
+
+
+class TestReadmeWalkthrough:
+    def test_every_command_exits_0(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("SDE_TRAJ_SEED", raising=False)
+        ran = []
+        for line in _readme_walkthrough():
+            if line.startswith("embsde "):
+                argv = shlex.split(line, comments=True)[1:]
+                assert main(argv) == 0, line
+                ran.append(argv[0])
+            else:  # a shell step that prepares an input, such as the start vector
+                subprocess.run(line, shell=True, check=True)
+        capsys.readouterr()
+        assert ran == ["synth-ou", "train", "train", "losses", "diagnose", "simulate", "answer"]

@@ -9,12 +9,6 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from embsde.cli_io import (
-    COMPARE_HEADER,
-    HEATMAP_HEADER,
-    IMPORTANCE_HEADER,
-    LOSSES_HEADER,
-    MOMENTS_HEADER,
-    VECTOR_FIELD_HEADER,
     load_model,
     load_trajectories,
     save_model,
@@ -265,7 +259,31 @@ class TestModelPersistence:
 # ---------------------------------------------------------------------------
 
 
+def _empty_moments():
+    empty = np.zeros(0)
+    return MomentReport(empty, empty, empty, 0, mean_ode=empty, var_ode=empty)
+
+
+def _empty_grid():
+    return VectorFieldGrid(np.eye(2), np.zeros(2), np.zeros((0, 2)), np.zeros((0, 2)),
+                           np.zeros(0), np.zeros(0))
+
+
 class TestCsvWriters:
+    # the header of each file, as the README's CSV table freezes it
+    @pytest.mark.parametrize("write, args, header", [
+        (write_losses_csv, ([],), "epoch,split,total,drift,diffusion"),
+        (write_comparison_csv, (np.array([0.0]), []), "step,t,error"),
+        (write_vector_field_csv, (_empty_grid(),), "gx,gy,ux,uy,diffusion_mag"),
+        (write_heatmap_csv, ([], None), "position,token,magnitude,log_magnitude"),
+        (write_importance_csv, ([],), "position,token,l2_norm"),
+        (write_moments_csv, (_empty_moments(),), "t,mean_ode,var_ode,mean_mc,var_mc"),
+    ], ids=["losses", "comparison", "vector_field", "heatmap", "importance", "moments"])
+    def test_empty_input_writes_only_the_header(self, tmp_path, write, args, header):
+        path = tmp_path / "empty.csv"
+        write(str(path), *args)
+        assert path.read_bytes() == (header + "\n").encode()
+
     def test_losses_schema_and_byte_determinism(self, tmp_path):
         records = [
             LossRecord(epoch=0, split="train", total=0.1, drift=0.075, diffusion=0.025),
@@ -277,7 +295,7 @@ class TestCsvWriters:
         content = open(first, "rb").read()
         assert content == open(second, "rb").read()
         lines = content.decode().splitlines()
-        assert lines[0] == ",".join(LOSSES_HEADER)
+        assert lines[0] == "epoch,split,total,drift,diffusion"
         assert lines[1] == "0,train,0.1,0.075,0.025"
         assert lines[2] == "1,validation,-2.5,0.5,-3.0"
         assert content.endswith(b"\n") and b"\r" not in content
@@ -286,7 +304,7 @@ class TestCsvWriters:
         path = str(tmp_path / "cmp.csv")
         write_comparison_csv(path, np.array([0.0, 0.5, 1.0]), [0.25, 0.0625])
         lines = open(path).read().splitlines()
-        assert lines[0] == ",".join(COMPARE_HEADER)
+        assert lines[0] == "step,t,error"
         assert lines[1] == "1,0.5,0.25"
         assert lines[2] == "2,1.0,0.0625"
 
@@ -302,7 +320,7 @@ class TestCsvWriters:
         path = str(tmp_path / "field.csv")
         write_vector_field_csv(path, grid)
         lines = open(path).read().splitlines()
-        assert lines[0] == ",".join(VECTOR_FIELD_HEADER)
+        assert lines[0] == "gx,gy,ux,uy,diffusion_mag"
         assert lines[1] == "0.0,1.0,0.5,-0.5,2.0"
         assert lines[2] == "2.0,3.0,0.25,-0.25,4.0"
 
@@ -311,7 +329,7 @@ class TestCsvWriters:
         path = str(tmp_path / "heat.csv")
         write_heatmap_csv(path, entries, ["hello", "world"])
         lines = open(path).read().splitlines()
-        assert lines[0] == ",".join(HEATMAP_HEADER)
+        assert lines[0] == "position,token,magnitude,log_magnitude"
         assert lines[1] == f"0,hello,2.0,{math.log(2.0)!r}"
         write_heatmap_csv(path, entries, None)
         assert open(path).read().splitlines()[2] == "1,1,1.0,0.0"
@@ -320,7 +338,7 @@ class TestCsvWriters:
         path = str(tmp_path / "imp.csv")
         write_importance_csv(path, [("cat", 5.0), ("dog", 0.5)])
         lines = open(path).read().splitlines()
-        assert lines[0] == ",".join(IMPORTANCE_HEADER)
+        assert lines[0] == "position,token,l2_norm"
         assert lines[1] == "0,cat,5.0"
         assert lines[2] == "1,dog,0.5"
 
@@ -346,7 +364,7 @@ class TestCsvWriters:
         path = str(tmp_path / "m.csv")
         write_moments_csv(path, report)
         lines = open(path).read().splitlines()
-        assert lines[0] == ",".join(MOMENTS_HEADER)
+        assert lines[0] == "t,mean_ode,var_ode,mean_mc,var_mc"
         assert lines[1] == "0.0,0.125,0.0,0.125,0.0"
         assert lines[2] == "1.0,0.3,0.9,0.25,1.0"
 
