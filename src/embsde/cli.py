@@ -189,6 +189,9 @@ def cmd_answer(args) -> int:
 def cmd_diagnose(args) -> int:
     model = load_model(args.model).model
     trajectories = _load_nonempty(args.data, " to diagnose against")
+    reference = None if args.oracle is None else _parse_oracle(args.oracle)
+    if reference is not None and trajectories[0].dim != 1:
+        raise ValidationError("--oracle moment analysis needs dim-1 data")
     os.makedirs(args.out_dir, exist_ok=True)
 
     pooled = np.vstack([t.states for t in trajectories])
@@ -202,11 +205,8 @@ def cmd_diagnose(args) -> int:
     heatmap = uncertainty_heatmap(model, first)
     write_heatmap_csv(os.path.join(args.out_dir, "heatmap.csv"), heatmap, first.tokens)
 
-    if args.oracle is not None:
-        reference = _parse_oracle(args.oracle)
-        starts = np.array([t.states[0, 0] for t in trajectories if t.dim == 1])
-        if starts.size != len(trajectories):
-            raise ValidationError("--oracle moment analysis needs dim-1 data")
+    if reference is not None:
+        starts = np.array([t.states[0, 0] for t in trajectories])
         report = moment_monte_carlo(
             model,
             x0_mean=float(starts.mean()),
@@ -238,7 +238,7 @@ def cmd_diagnose(args) -> int:
     print(
         f"wrote {args.out_dir}: K={regularity.lipschitz_k:.6g} C={regularity.growth_c:.6g} "
         f"max LV={lyapunov.max_generator:.6g} stable={lyapunov.stable_flag}"
-        + (" (+moments.csv)" if args.oracle is not None else "")
+        + (" (+moments.csv)" if reference is not None else "")
     )
     return EXIT_OK
 

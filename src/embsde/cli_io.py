@@ -23,7 +23,6 @@ import io
 import json
 import os
 import tempfile
-import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -62,8 +61,8 @@ def _atomic_write_text(path: str, text: str) -> None:
 def load_trajectories(path: str) -> list[EmbeddingTrajectory]:
     """Read a JSONL trajectory file, validating every record.
 
-    Blank lines are skipped.  All records must share one embedding
-    dimension; errors name the offending 1-based line.
+    Blank lines are skipped; a file without records loads as ``[]``.  All
+    records must share one dimension; errors name the offending 1-based line.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -88,8 +87,6 @@ def load_trajectories(path: str) -> list[EmbeddingTrajectory]:
                 f"{path} line {lineno}: dimension {traj.dim} differs from {dim}"
             )
         out.append(traj)
-    if not out:
-        warnings.warn(f"{path}: no trajectories found")
     return out
 
 

@@ -289,7 +289,8 @@ def drift_vector_field(
 
     Each grid point ``g`` (a regular lattice over the projected data range)
     is lifted to state space via ``mean + basis' g``, the fields evaluated
-    there, and the drift projected back to the plane.
+    there, and the drift projected back to the plane.  States with no plane
+    to fit raise :func:`pca_fit`'s :class:`EstimationError`.
     """
     if model.dim < 2:
         raise ValidationError("vector fields need state dimension >= 2")
@@ -300,13 +301,7 @@ def drift_vector_field(
     pooled = np.vstack([traj.states for traj in trajectories])
     if pooled.shape[1] != model.dim:
         raise DimensionMismatchError(f"data dim {pooled.shape[1]}, model dim {model.dim}")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # degenerate cloud surfaces as an exception
-        try:
-            pca = pca_fit(pooled, 2)
-        except UserWarning as exc:
-            raise EstimationError("need at least 2 distinct states for the plane") from exc
-
+    pca = pca_fit(pooled, 2)
     coords = (pooled - pca.mean) @ pca.basis.T
     axes = [np.linspace(coords[:, j].min(), coords[:, j].max(), grid_resolution) for j in (0, 1)]
     gx, gy = np.meshgrid(axes[0], axes[1])  # rows ordered by gy, then gx
@@ -341,7 +336,8 @@ def uncertainty_heatmap(
 def word_importance(trajectory: EmbeddingTrajectory) -> list[tuple[str, float]]:
     """Euclidean norm of each token's embedding, in trajectory order.
 
-    Tokens without labels fall back to their position index, with a warning.
+    Tokens without labels fall back to their position index, with a warning:
+    unlike the refusals elsewhere in this module, the result is still usable.
     """
     if trajectory.tokens is None:
         warnings.warn("trajectory has no token labels; using position indices")

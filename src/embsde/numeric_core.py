@@ -35,12 +35,11 @@ in that order it swaps positions ``i`` and ``min(floor(u_{n-i} (i + 1)), i)``.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ValidationError
+from .errors import DimensionMismatchError, EstimationError, ValidationError
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX_C1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -158,15 +157,12 @@ class PcaResult:
     """Fitted principal-component basis.
 
     ``basis`` rows are orthonormal directions in descending
-    ``explained_variance`` order; ``degenerate`` flags an all-identical
-    point cloud, for which the variance is zero and the basis arbitrary
-    (but still orthonormal).
+    ``explained_variance`` order; :func:`pca_fit` raises for a cloud with none.
     """
 
     basis: np.ndarray
     mean: np.ndarray
     explained_variance: np.ndarray
-    degenerate: bool = False
 
 
 def pca_fit(points, k: int) -> PcaResult:
@@ -176,7 +172,9 @@ def pca_fit(points, k: int) -> PcaResult:
     array).  The basis is the top ``k`` eigenvectors of the sample
     covariance from one ``numpy.linalg.eigh`` call, in descending eigenvalue
     order (a stable sort, so ties keep eigh's order), each signed so its
-    first component above 1e-12 in magnitude is positive.
+    first component above 1e-12 in magnitude is positive.  A cloud with zero
+    variance (one point, or all identical) or whose squared coordinates
+    overflow float64 raises :class:`EstimationError`.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if pts.ndim != 2 or pts.size == 0:
@@ -189,22 +187,16 @@ def pca_fit(points, k: int) -> PcaResult:
             f"k={k} out of range for {n} points of dimension {d}"
         )
 
-    mean = pts.mean(axis=0)
-    centered = pts - mean
-    if n > 1:
-        cov = (centered.T @ centered) / (n - 1)
-    else:
-        cov = np.zeros((d, d))
-
-    scale = max(1.0, float(np.max(np.sum(pts * pts, axis=1))))
-    if float(np.trace(cov)) <= 1e-24 * scale:
-        warnings.warn("degenerate point cloud: zero variance in every direction")
-        return PcaResult(
-            basis=np.eye(d)[:k].copy(),
-            mean=mean,
-            explained_variance=np.zeros(k),
-            degenerate=True,
-        )
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = pts.mean(axis=0)
+        centered = pts - mean
+        cov = (centered.T @ centered) / max(n - 1, 1)
+        scale = max(1.0, float(np.max(np.sum(pts * pts, axis=1))))
+    spread = float(np.trace(cov))
+    if not (math.isfinite(spread) and math.isfinite(scale)):
+        raise EstimationError("point cloud too large: squared coordinates overflow float64")
+    if spread <= 1e-24 * scale:
+        raise EstimationError("degenerate point cloud: zero variance in every direction")
 
     vals, vecs = np.linalg.eigh(cov)
     order = np.argsort(-vals, kind="stable")[:k]
@@ -212,6 +204,5 @@ def pca_fit(points, k: int) -> PcaResult:
         basis=_canonical_signs(vecs.T[order]),
         mean=mean,
         explained_variance=np.maximum(vals[order], 0.0),
-        degenerate=False,
     )
 

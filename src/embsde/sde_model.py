@@ -326,14 +326,12 @@ def linear_sde_model(spec: LinearSdeSpec, time_encoding: TimeEncoding | None = N
     drift_w = np.concatenate([spec.a * np.eye(d), np.zeros((d, w))], axis=1)
     drift_net = MlpNetwork([d + w, d], [drift_w], [np.zeros(d)], output_activation="identity")
     if spec.b > 0.0:
-        bias = math.log(math.expm1(spec.b)) * np.ones(d)
-        diffusion_net = MlpNetwork(
-            [d + w, d], [np.zeros((d, d + w))], [bias], output_activation="softplus"
-        )
+        head, bias = "softplus", math.log(math.expm1(spec.b))
     else:
-        diffusion_net = MlpNetwork(
-            [d + w, d], [np.zeros((d, d + w))], [np.zeros(d)], output_activation="identity"
-        )
+        head, bias = "identity", 0.0
+    diffusion_net = MlpNetwork(
+        [d + w, d], [np.zeros((d, d + w))], [np.full(d, bias)], output_activation=head
+    )
     return SdeModel(d, drift_net, diffusion_net, enc)
 
 

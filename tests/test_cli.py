@@ -126,12 +126,11 @@ class TestPipeline:
         assert rc == 1
         assert "cannot read" in capsys.readouterr().err
 
-    def test_empty_data_exits_1(self, tmp_path):
+    def test_empty_data_exits_1(self, tmp_path, capsys):
         path = tmp_path / "empty.jsonl"
         path.write_text("")
-        with pytest.warns(UserWarning):
-            rc = main(["train", "--data", str(path), "--dim-check"])
-        assert rc == 1
+        assert main(["train", "--data", str(path), "--dim-check"]) == 1
+        assert capsys.readouterr().err == f"embsde: error: {path}: no trajectories to train on\n"
 
     @pytest.mark.parametrize("command, suffix", [
         (["diagnose", "--out-dir", "diag"], " to diagnose against"),
@@ -142,9 +141,7 @@ class TestPipeline:
         path = tmp_path / "empty.jsonl"
         path.write_text("")
         model = ["--model", _linear_model(tmp_path, dim=2)] if command[0] != "importance" else []
-        with pytest.warns(UserWarning):
-            rc = main([*command, "--data", str(path), *model])
-        assert rc == 1
+        assert main([*command, "--data", str(path), *model]) == 1
         assert capsys.readouterr().err == f"embsde: error: {path}: no trajectories{suffix}\n"
 
 
@@ -283,12 +280,27 @@ class TestDiagnose:
         assert (out_dir / "diagnostics.json").exists()
 
     def test_bad_oracle_string_exits_1(self, tmp_path, capsys):
+        # --oracle is checked before the output directory or any estimate exists
         data = _synth(tmp_path, n_traj=3, steps=4)
         model = _linear_model(tmp_path)
+        out_dir = tmp_path / "d"
         rc = main(["diagnose", "--model", model, "--data", data,
-                   "--out-dir", str(tmp_path / "d"), "--oracle", "eleven"])
+                   "--out-dir", str(out_dir), "--oracle", "eleven"])
         assert rc == 1
         assert "--oracle" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_oracle_on_dim2_data_exits_1_writing_nothing(self, tmp_path, capsys):
+        data = _synth(tmp_path, dim=2, n_traj=3, steps=4)
+        model = _linear_model(tmp_path, dim=2)
+        out_dir = tmp_path / "d"
+        rc = main(["diagnose", "--model", model, "--data", data,
+                   "--out-dir", str(out_dir), "--oracle=-1,0.5"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "embsde: error: --oracle moment analysis needs dim-1 data\n"
+        )
+        assert not out_dir.exists()
 
 
 class TestFieldAndImportance:
@@ -332,6 +344,20 @@ class TestFieldAndImportance:
         rc = main([*command, "--model", _linear_model(tmp_path, dim=2), "--data", str(data)])
         assert rc == 2
         assert "numerical error" in capsys.readouterr().err
+
+    def test_overflowing_states_exit_2(self, tmp_path, capsys):
+        # finite embeddings whose squares overflow float64 have no PCA plane
+        data = tmp_path / "huge.jsonl"
+        rows = [[1e200, -2e200], [-3e200, 1e200], [2e200, 3e200]]
+        data.write_text(json.dumps({"embeddings": rows}) + "\n")
+        out = tmp_path / "f.csv"
+        rc = main(["field", "--model", _linear_model(tmp_path, dim=2), "--data", str(data),
+                   "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "embsde: numerical error: point cloud too large: squared coordinates overflow float64\n"
+        )
+        assert not out.exists()
 
     def test_losses_without_history_exits_1(self, tmp_path, capsys):
         model = _linear_model(tmp_path)

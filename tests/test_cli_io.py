@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -123,10 +124,11 @@ class TestTrajectoryRoundTrip:
         with pytest.raises(DataFormatError, match="id"):
             load_trajectories(str(path))
 
-    def test_empty_file_warns(self, tmp_path):
+    def test_empty_file_loads_as_empty_list(self, tmp_path):
         path = tmp_path / "data.jsonl"
         path.write_text("\n\n")
-        with pytest.warns(UserWarning, match="no trajectories"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert load_trajectories(str(path)) == []
 
     def test_blank_lines_skipped(self, tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from embsde.diagnostics import lyapunov_check
-from embsde.errors import DimensionMismatchError, ValidationError
+from embsde.errors import DimensionMismatchError, EstimationError, ValidationError
 from embsde.numeric_core import (
     PcaResult,
     RngStream,
@@ -327,7 +327,6 @@ class TestPcaFit:
         res = pca_fit(pts, 1)
         direction = np.array([1.0, 2.0]) / math.sqrt(5.0)
         np.testing.assert_allclose(res.basis[0], direction, atol=1e-12)
-        assert not res.degenerate
 
     def test_variance_matches_numpy_oracle(self):
         rng = np.random.default_rng(2)
@@ -355,13 +354,22 @@ class TestPcaFit:
         proj = (pts - res.mean) @ res.basis.T
         assert abs(proj.mean(axis=0)).max() < 1e-12
 
-    def test_degenerate_cloud_flagged(self):
-        pts = np.tile([1.0, 2.0, 3.0], (10, 1))
-        with pytest.warns(UserWarning):
-            res = pca_fit(pts, 2)
-        assert res.degenerate
-        np.testing.assert_array_equal(res.explained_variance, 0.0)
-        np.testing.assert_allclose(res.basis @ res.basis.T, np.eye(2), atol=1e-14)
+    @pytest.mark.parametrize("n", [1, 10])
+    def test_zero_variance_cloud_refused(self, n):
+        pts = np.tile([1.0, 2.0, 3.0], (n, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the refusal is the exception, never a warning
+            with pytest.raises(EstimationError, match="zero variance"):
+                pca_fit(pts, min(n, 2))
+
+    @pytest.mark.parametrize("size", [1e160, 1e300])
+    def test_overflowing_cloud_refused(self, size):
+        # finite points whose squares overflow; the parent called the 1e160 cloud degenerate
+        pts = size * np.random.default_rng(5).uniform(-1.0, 1.0, (20, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's overflow RuntimeWarnings stay silent
+            with pytest.raises(EstimationError, match="overflow"):
+                pca_fit(pts, 2)
 
     def test_high_dim_uses_power_iteration(self):
         # d=80 with two planted dominant directions, against the power-iteration reference
@@ -405,7 +413,15 @@ class TestPcaFit:
     def test_basis_always_orthonormal(self, rows):
         pts = np.array(rows)
         k = min(2, pts.shape[1])
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # degenerate clouds are fine here
+        if np.all(pts == pts[0]):
+            with pytest.raises(EstimationError, match="zero variance"):
+                pca_fit(pts, k)
+            return
+        try:
             res = pca_fit(pts, k)
+        except EstimationError:
+            # distinct rows whose spread vanishes in float64 (subnormal differences)
+            spread = np.sum((pts - pts.mean(axis=0)) ** 2)
+            assert spread <= 1e-20 * max(1.0, np.max(np.sum(pts * pts, axis=1)))
+            return
         np.testing.assert_allclose(res.basis @ res.basis.T, np.eye(k), atol=1e-8)
