@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -41,7 +42,7 @@ from .diagnostics import (
     uncertainty_heatmap,
     word_importance,
 )
-from .errors import EmbsdeError, NumericalError, ValidationError
+from .errors import DimensionMismatchError, EmbsdeError, NumericalError, ValidationError
 from .estimation import TrainingConfig, fit
 from .sde_model import LinearSdeSpec, generate_answer, sample_linear_trajectories, simulate
 
@@ -192,6 +193,8 @@ def cmd_diagnose(args) -> int:
     reference = None if args.oracle is None else _parse_oracle(args.oracle)
     if reference is not None and trajectories[0].dim != 1:
         raise ValidationError("--oracle moment analysis needs dim-1 data")
+    if trajectories[0].dim != model.dim:
+        raise DimensionMismatchError(f"probe dim {trajectories[0].dim}, model dim {model.dim}")
     os.makedirs(args.out_dir, exist_ok=True)
 
     pooled = np.vstack([t.states for t in trajectories])
@@ -254,7 +257,12 @@ def cmd_field(args) -> int:
 
 def cmd_importance(args) -> int:
     trajectories = _load_nonempty(args.data)
-    pairs = word_importance(trajectories[0])
+    # one stderr line of our own, not the library warning with its source path
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        pairs = word_importance(trajectories[0])
+    for warning in caught:
+        print(f"embsde: warning: {warning.message}", file=sys.stderr)
     write_importance_csv(args.out, pairs)
     print(f"wrote {args.out}: {len(pairs)} tokens")
     return EXIT_OK

@@ -4,7 +4,8 @@ Trajectories travel as JSON Lines, one record per line with fields ``id``,
 ``embeddings``, optional ``tokens`` and ``times`` (times default to
 ``0, 1, 2, ...``).  Models persist as a single JSON document whose numbers
 use Python's shortest round-trip float representation, so a load reproduces
-forward outputs exactly; a sha256 checksum over the canonicalized payload
+forward outputs exactly; a sha256 checksum over the canonicalized payload,
+with each list of numbers as the file spells it (``0.50`` for ``0.5`` fails),
 guards against truncation and bit rot.  Plot data leaves as small CSV files
 with frozen column sets, written atomically (temp file plus rename) with
 ``\\n`` line endings so identical runs produce identical bytes.  Each CSV
@@ -21,7 +22,9 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
+import re
 import tempfile
 from dataclasses import asdict, dataclass
 
@@ -187,14 +190,14 @@ def _net_payload(net: MlpNetwork) -> dict:
     }
 
 
-def _net_from_payload(payload: dict, where: str) -> MlpNetwork:
+def _net_from_payload(payload: dict, where: str, literals: list[bytes]) -> MlpNetwork:
     try:
-        dims = [int(d) for d in payload["layer_dims"]]
+        dims = [int(d) for d in _float_array(payload["layer_dims"], literals)]
         weights = [
-            np.asarray(flat, dtype=np.float64).reshape(dims[i + 1], dims[i])
+            _float_array(flat, literals).reshape(dims[i + 1], dims[i])
             for i, flat in enumerate(payload["weights"])
         ]
-        biases = [np.asarray(b, dtype=np.float64) for b in payload["biases"]]
+        biases = [_float_array(b, literals) for b in payload["biases"]]
         return MlpNetwork(
             dims, weights, biases, payload["hidden_activation"], payload["output_activation"]
         )
@@ -202,9 +205,78 @@ def _net_from_payload(payload: dict, where: str) -> MlpNetwork:
         raise ModelFormatError(f"{where}: malformed network payload ({exc})") from exc
 
 
-def _canonical_checksum(payload: dict) -> str:
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+# A JSON string, skipped whole, or a list holding only number characters and
+# whitespace (group 1: its items).  No such list holds another list, so one
+# scan from the left finds each of them outside the strings.
+_STRING_OR_LIST = re.compile(rb'"[^"\\]*(?:\\.[^"\\]*)*"|\[([-+.0-9eE \t\n\r,]*)\]', re.DOTALL)
+
+# Such a list in character classes: brackets and commas to ",", nonzero
+# digits to "1", "E" to "e", whitespace to " ".  It is a JSON list of numbers
+# iff each "," but the last starts a JSON number followed by " *,"; this
+# matches a "," that does not.  The grammar's optional parts are spelled out
+# as branches, which the regex engine runs several times faster.
+_NUMBER_CLASSES = bytes.maketrans(b"23456789E[]\t\n\r", b"11111111e,,   ")
+_EXPONENT = rb"e[-+]?[01]+ *,"
+_NOT_A_NUMBER = re.compile(
+    rb",(?!\Z| *-?(?:0|1[01]*)(?: *,|\.[01]+(?: *,|%s)|%s))" % (_EXPONENT, _EXPONENT)
+)
+
+
+def _finite_float(literal: str) -> float:
+    value = float(literal)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number: {literal}")
+    return value
+
+
+def _parse_lifted(text: bytes) -> tuple[object, list[bytes]]:
+    """Parse JSON with each list of numbers lifted out as its text, whitespace removed.
+
+    Each such list becomes ``[k]`` in the returned tree, ``k`` indexing the
+    returned texts; as every one is lifted, a list of one int in the tree is
+    always an index.  Non-finite numbers outside the lifted lists raise
+    ``ValueError``.
+    """
+    literals: list[bytes] = []
+
+    def lift(match: re.Match) -> bytes:
+        found = match.group(0)
+        if match.lastindex is None or _NOT_A_NUMBER.search(found.translate(_NUMBER_CLASSES)):
+            return found  # a string, an empty list, or invalid JSON for json to report
+        literals.append(found.translate(None, b" \t\n\r"))
+        return b"[%d]" % (len(literals) - 1)
+
+    skeleton = _STRING_OR_LIST.sub(lift, text)
+    try:
+        tree = json.loads(
+            skeleton.decode("utf-8"), parse_float=_finite_float, parse_constant=_finite_float
+        )
+    except ValueError:
+        json.loads(text)  # report a syntax error where it is in the file, not in the skeleton
+        raise
+    return tree, literals
+
+
+def _spelled(text: bytes, literals: list[bytes]) -> bytes:
+    """JSON text of a lifted tree with each lifted list spelled as in the file."""
+    return _STRING_OR_LIST.sub(lambda m: literals[int(m[1])] if m[1] else m[0], text)
+
+
+def _checksum(tree, literals: list[bytes]) -> str:
+    canonical = json.dumps(tree, sort_keys=True, separators=(",", ":")).encode("ascii")
+    return hashlib.sha256(_spelled(canonical, literals)).hexdigest()
+
+
+def _float_array(node, literals: list[bytes]) -> np.ndarray:
+    """A lifted list of numbers as a float64 array, read by one numpy call."""
+    if not (isinstance(node, list) and len(node) == 1 and type(node[0]) is int):
+        raise ValueError("expected a list of numbers")
+    # checked as JSON numbers when lifted, so numpy reads every item; from str,
+    # it reads them twice as fast as from bytes
+    values = np.fromstring(literals[node[0]][1:-1].decode("ascii"), sep=",")
+    if not np.isfinite(values).all():
+        raise ValueError("number out of float64 range")
+    return values
 
 
 def save_model(
@@ -224,30 +296,32 @@ def save_model(
         "loss_history": [asdict(r) for r in loss_history or []],
     }
     try:
-        payload_with_sum = {**payload, "checksum": _canonical_checksum(payload)}
-        text = json.dumps(payload_with_sum, indent=2, allow_nan=False) + "\n"
+        text = json.dumps(payload, indent=2, allow_nan=False)
     except ValueError as exc:
         raise ValidationError(f"model contains non-finite numbers: {exc}") from exc
-    _atomic_write_text(path, text)
+    # one encode: the checksum is read off this text, and spliced in before its closing "\n}"
+    checksum = _checksum(*_parse_lifted(text.encode("ascii")))
+    _atomic_write_text(path, f'{text[:-2]},\n  "checksum": "{checksum}"\n}}\n')
 
 
 def load_model(path: str) -> ModelBundle:
     """Load a model file, verifying version and checksum.
 
     Forward outputs of the restored model match the saved one exactly: the
-    JSON float representation is lossless.
+    JSON float representation is lossless.  Each weight and bias list is
+    read by one numpy call, with no Python float per number.
     """
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
+        with open(path, "rb") as handle:
+            payload, literals = _parse_lifted(handle.read())
     except OSError as exc:
         raise ModelFormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ModelFormatError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(document, dict):
+    if not isinstance(payload, dict):
         raise ModelFormatError(f"{path}: expected a JSON object")
 
-    version = document.get("format_version")
+    version = payload.get("format_version")
     if not isinstance(version, int):
         raise ModelFormatError(f"{path}: missing format_version")
     if version > FORMAT_VERSION:
@@ -257,17 +331,15 @@ def load_model(path: str) -> ModelBundle:
     if version < 1:
         raise ModelFormatError(f"{path}: invalid format_version {version}")
 
-    stored_sum = document.get("checksum")
-    payload = {k: v for k, v in document.items() if k != "checksum"}
-    if stored_sum != _canonical_checksum(payload):
+    if payload.pop("checksum", None) != _checksum(payload, literals):
         raise ModelFormatError(f"{path}: checksum mismatch (file corrupt or edited)")
 
     try:
         encoding = TimeEncoding.from_dict(payload["time_encoding"])
         model = SdeModel(
             dim=int(payload["dim"]),
-            drift_net=_net_from_payload(payload["drift_net"], path),
-            diffusion_net=_net_from_payload(payload["diffusion_net"], path),
+            drift_net=_net_from_payload(payload["drift_net"], path, literals),
+            diffusion_net=_net_from_payload(payload["diffusion_net"], path, literals),
             time_encoding=encoding,
         )
         history = [
@@ -280,15 +352,13 @@ def load_model(path: str) -> ModelBundle:
             )
             for r in payload.get("loss_history", [])
         ]
+        config_text = json.dumps(payload.get("training_config")).encode("ascii")
+        training_config = json.loads(_spelled(config_text, literals), parse_float=_finite_float)
     except ModelFormatError:
         raise
     except (KeyError, TypeError, ValueError, ValidationError) as exc:
         raise ModelFormatError(f"{path}: malformed model payload ({exc})") from exc
-    return ModelBundle(
-        model=model,
-        training_config=payload.get("training_config"),
-        loss_history=history,
-    )
+    return ModelBundle(model=model, training_config=training_config, loss_history=history)
 
 
 # ---------------------------------------------------------------------------

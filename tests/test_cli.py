@@ -247,6 +247,19 @@ class TestAnswer:
         assert len(traj) == 5
 
 
+class TestModelFileErrors:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_nonfinite_weight_exits_1_in_one_line(self, tmp_path, capsys, value):
+        model = tmp_path / "bad.json"
+        document = json.loads(Path(_linear_model(tmp_path)).read_text())
+        document["drift_net"]["weights"][0][0] = value
+        model.write_text(json.dumps(document))
+        rc = main(["answer", "--model", str(model), "--question", "a b", "--steps", "2"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"embsde: error: {model}: ") and err.count("\n") == 1
+
+
 class TestDiagnose:
     def test_artifacts_with_oracle(self, tmp_path):
         data = _synth(tmp_path, n_traj=20, steps=10)
@@ -290,6 +303,15 @@ class TestDiagnose:
         assert "--oracle" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_model_dim_mismatch_exits_1_writing_nothing(self, tmp_path, capsys):
+        data = _synth(tmp_path, n_traj=3, steps=4)
+        model = _linear_model(tmp_path, dim=3)
+        out_dir = tmp_path / "d"
+        rc = main(["diagnose", "--model", model, "--data", data, "--out-dir", str(out_dir)])
+        assert rc == 1
+        assert capsys.readouterr().err == "embsde: error: probe dim 1, model dim 3\n"
+        assert not out_dir.exists()
+
     def test_oracle_on_dim2_data_exits_1_writing_nothing(self, tmp_path, capsys):
         data = _synth(tmp_path, dim=2, n_traj=3, steps=4)
         model = _linear_model(tmp_path, dim=2)
@@ -331,6 +353,16 @@ class TestFieldAndImportance:
         lines = open(out).read().splitlines()
         assert lines[0] == "position,token,l2_norm"
         assert [line.split(",")[1] for line in lines[1:]] == ["the", "cat", "sat"]
+
+    def test_importance_without_tokens_warns_in_one_line(self, tmp_path, capsys):
+        data = tmp_path / "plain.jsonl"
+        data.write_text(json.dumps({"embeddings": [[3.0, 4.0], [0.0, 1.0]]}) + "\n")
+        out = tmp_path / "imp.csv"
+        assert main(["importance", "--data", str(data), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == (
+            "embsde: warning: trajectory has no token labels; using position indices\n"
+        )
+        assert out.read_text().splitlines()[1:] == ["0,0,5.0", "1,1,1.0"]
 
     @pytest.mark.parametrize("command", [
         ["field", "--out", "f.csv"],

@@ -1,15 +1,22 @@
 """File-format tests: trajectory JSONL, model JSON, toy embedder, CSV writers."""
 
+import hashlib
 import json
 import math
 import os
+import re
+import tracemalloc
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from embsde.cli_io import (
+    _parse_lifted,
     load_model,
     load_trajectories,
     save_model,
@@ -25,7 +32,7 @@ from embsde.cli_io import (
 from embsde.diagnostics import MomentReport, VectorFieldGrid
 from embsde.errors import DataFormatError, ModelFormatError, ValidationError
 from embsde.estimation import LossRecord
-from embsde.mlp import glorot_init
+from embsde.mlp import MlpNetwork, glorot_init
 from embsde.numeric_core import RngStream
 from embsde.sde_model import EmbeddingTrajectory, SdeModel, TimeEncoding
 
@@ -254,6 +261,264 @@ class TestModelPersistence:
         model.drift_net.weights[0][0, 0] = np.nan
         with pytest.raises(ValidationError, match="non-finite"):
             save_model(str(tmp_path / "model.json"), model)
+
+
+def _seeded_model(seed: int) -> tuple[SdeModel, dict, list[LossRecord]]:
+    """The ``seed``-th model of a family that covers every persisted shape.
+
+    Weights and biases mix magnitudes from 1e-300 to 1e300 with subnormals
+    and signed zeros, so their literals use every form of a shortest float.
+    """
+    stream = RngStream(1000 + seed)
+    dim = (1, 2, 3, 4, 5, 64)[seed % 6]
+    hidden = ((8,), (16, 8))[seed % 2]
+    kind = ("none", "scalar_normalized", "sinusoidal")[seed % 3]
+    activation = ("tanh", "relu")[seed // 2 % 2]
+    encoding = TimeEncoding(kind=kind, horizon=0.5 + seed, n_pairs=1 + seed % 4)
+    dims = [dim + encoding.width, *hidden, dim]
+
+    def values(n: int) -> np.ndarray:
+        scale = np.array([1e-300, 1e-5, 1.0, 1e5, 1e300])[(np.arange(n) + seed) % 5]
+        out = stream.normals(n) * scale
+        out[::7] = np.resize([5e-324, -0.0, 0.0, -2.5e-310, 0.1, 1e22, -1e23], out[::7].size)
+        return out
+
+    def net(output_activation: str) -> MlpNetwork:
+        weights = [values(m * n).reshape(m, n) for n, m in zip(dims, dims[1:])]
+        biases = [values(m) for m in dims[1:]]
+        return MlpNetwork(dims, weights, biases, activation, output_activation)
+
+    model = SdeModel(dim, net("identity"), net("softplus"), encoding)
+    config = {
+        "note": 'x [1, 2] "q" \\ café ∑ [3]',
+        "nested": [[0.1, -2.5e-07], [3.0], [], [[1, 2], "[4]"]],
+        "epochs": seed,
+        "hidden_dims": list(hidden),
+        "learning_rate": 0.05 * (seed + 1),
+        "grad_clip": None,
+        "shuffle": seed % 2 == 0,
+        "flags": [True, False, None],
+        "big": 12345678901234567890,
+    }
+    history = [
+        LossRecord(epoch=e, split=split, total=t, drift=-t / 3, diffusion=t * 1e-9)
+        for e, t in enumerate(stream.normals(seed % 3 * 2).tolist())
+        for split in ("train", "validation")
+    ]
+    return model, config, history
+
+
+def _reference_bytes(model: SdeModel, config, history) -> bytes:
+    """The model file by its defining formula: the sha256 of the payload as
+    sorted-key compact JSON, then the payload and checksum dumped with indent=2."""
+
+    def net(n: MlpNetwork) -> dict:
+        return {
+            "layer_dims": list(n.layer_dims),
+            "hidden_activation": n.hidden_activation,
+            "output_activation": n.output_activation,
+            "weights": [w.ravel().tolist() for w in n.weights],
+            "biases": [b.tolist() for b in n.biases],
+        }
+
+    payload = {
+        "format_version": 1,
+        "dim": model.dim,
+        "time_encoding": model.time_encoding.to_dict(),
+        "drift_net": net(model.drift_net),
+        "diffusion_net": net(model.diffusion_net),
+        "training_config": config,
+        "loss_history": [asdict(r) for r in history],
+    }
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    payload["checksum"] = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return (json.dumps(payload, indent=2, allow_nan=False) + "\n").encode("utf-8")
+
+
+def _params(model: SdeModel) -> list[np.ndarray]:
+    nets = (model.drift_net, model.diffusion_net)
+    return [np.ascontiguousarray(a).view(np.uint64) for n in nets for a in (*n.weights, *n.biases)]
+
+
+def _with_literal(path, document: dict, place, literal: str, checksum: str | None = None) -> None:
+    """Write ``document`` with ``literal`` as raw JSON text at ``place(document)``.
+
+    The checksum defaults to the sha256 of the sorted-key compact text with
+    the literal in it, so the file passes or fails on the literal alone.
+    """
+    payload = {k: v for k, v in document.items() if k != "checksum"}
+    place(payload, "@@")
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":")).replace('"@@"', literal)
+    payload["checksum"] = checksum or hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    path.write_text(json.dumps(payload, indent=2).replace('"@@"', literal), encoding="utf-8")
+
+
+def _first_weight(payload, value):
+    payload["drift_net"]["weights"][0][0] = value
+
+
+def _first_weight_list(payload, value):
+    payload["drift_net"]["weights"][0] = value
+
+
+def _non_shortest(value: float) -> str:
+    """A longer literal of the same float: ``0.5`` -> ``0.50``, ``1e-05`` -> ``1.0e-05``."""
+    mantissa, e, exponent = repr(value).partition("e")
+    return mantissa + ("0" if "." in mantissa else ".0") + e + exponent
+
+
+_SEEDS = range(22)
+
+# list texts: JSON numbers in several spellings, or fragments that may not be
+# numbers at all, between random whitespace
+_JSON_NUMBER = st.one_of(
+    st.integers().map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda x: f"{x:.3E}"),
+)
+_FRAGMENT = st.text(alphabet="0123456789-+.eE ", max_size=6)
+_BLANK = st.text(alphabet=" \t\n\r", max_size=2)
+_ITEM = st.tuples(_BLANK, st.one_of(_JSON_NUMBER, _FRAGMENT), _BLANK).map("".join)
+_LIST_TEXT = st.lists(_ITEM, max_size=4).map(lambda items: "[" + ",".join(items) + "]")
+
+
+class TestModelFileLiterals:
+    """The checksum reads lists of numbers as written; saved bytes follow the formula."""
+
+    @pytest.mark.parametrize("seed", _SEEDS)
+    def test_bytes_match_the_reference_formula(self, tmp_path, seed):
+        model, config, history = _seeded_model(seed)
+        path = tmp_path / "model.json"
+        save_model(str(path), model, training_config=config, loss_history=history)
+        assert path.read_bytes() == _reference_bytes(model, config, history)
+
+    @pytest.mark.parametrize("seed", _SEEDS)
+    def test_load_is_bit_exact(self, tmp_path, seed):
+        model, config, history = _seeded_model(seed)
+        path = str(tmp_path / "model.json")
+        save_model(path, model, training_config=config, loss_history=history)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bundle = load_model(path)
+        for loaded, saved in zip(_params(bundle.model), _params(model), strict=True):
+            assert_array_equal(loaded, saved)
+        assert bundle.model.time_encoding == model.time_encoding
+        assert bundle.training_config == config
+        assert bundle.loss_history == history
+
+    @pytest.mark.parametrize("seed", _SEEDS[::3])
+    def test_compact_redump_still_loads(self, tmp_path, seed):
+        model, config, history = _seeded_model(seed)
+        path, compact = tmp_path / "model.json", tmp_path / "compact.json"
+        save_model(str(path), model, training_config=config, loss_history=history)
+        with open(path) as f, open(compact, "w") as g:
+            json.dump(json.load(f), g)
+        bundle = load_model(str(compact))
+        for loaded, saved in zip(_params(bundle.model), _params(model), strict=True):
+            assert_array_equal(loaded, saved)
+        assert bundle.training_config == config
+
+    @pytest.mark.parametrize("seed", _SEEDS[::3])
+    def test_non_shortest_weight_fails_checksum(self, tmp_path, seed):
+        # the same float in a longer literal loaded before; now it is an edit
+        model, config, history = _seeded_model(seed)
+        path = tmp_path / "model.json"
+        save_model(str(path), model, training_config=config, loss_history=history)
+        document = json.loads(path.read_text())
+        literal = _non_shortest(document["drift_net"]["weights"][0][0])
+        assert float(literal) == document["drift_net"]["weights"][0][0]
+        _with_literal(path, document, _first_weight, literal, checksum=document["checksum"])
+        with pytest.raises(ModelFormatError, match="checksum"):
+            load_model(str(path))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_LIST_TEXT)
+    def test_lists_are_lifted_exactly_when_json_reads_numbers(self, text):
+        try:
+            expected = json.loads(text)
+        except ValueError:
+            with pytest.raises(ValueError):
+                _parse_lifted(text.encode())
+            return
+        tree, literals = _parse_lifted(text.encode())
+        if not expected:
+            assert (tree, literals) == ([], [])
+            return
+        assert tree == [0] and len(literals) == 1
+        assert literals[0] == "".join(text.split()).encode()
+        if all(math.isfinite(v) for v in expected):
+            assert json.loads(literals[0]) == expected
+            items = literals[0][1:-1]
+            read = np.fromstring(items.decode(), sep=",")
+            floats = np.array([float(item) for item in items.split(b",")])
+            assert_array_equal(read.view(np.uint64), floats.view(np.uint64))
+
+    def test_load_memory_stays_near_the_file_size(self, tmp_path):
+        # no Python float per weight: the traced peak is a small multiple of
+        # the text, where one object per float would need about 4.7x
+        stream = RngStream(3)
+        encoding = TimeEncoding()
+        dims = [256 + encoding.width, 32, 256]
+        model = SdeModel(256, glorot_init(dims, stream), glorot_init(dims, stream), encoding)
+        path = str(tmp_path / "model.json")
+        save_model(path, model)
+        load_model(path)
+        tracemalloc.start()
+        try:
+            load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * os.path.getsize(path)
+
+
+class TestMalformedModelNumbers:
+    """Bad numbers in a model file raise ModelFormatError naming the file."""
+
+    @pytest.fixture
+    def document(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(str(path), _random_model())
+        return json.loads(path.read_text())
+
+    @pytest.mark.parametrize("place, literal", [
+        (_first_weight, "NaN"),
+        (_first_weight, "Infinity"),
+        (_first_weight, "-Infinity"),
+        (_first_weight, "1e999"),
+        (_first_weight, "-1e400"),
+        (_first_weight_list, "[1,,2]"),
+        (_first_weight_list, "[1e]"),
+        (_first_weight_list, "[0.5, 1 2]"),
+        (lambda p, v: p.__setitem__("training_config", {"lr": v}), "1e999"),
+        (lambda p, v: p.__setitem__("training_config", {"lrs": [v]}), "1e999"),
+        (lambda p, v: p["loss_history"].append(v), "NaN"),
+    ])
+    def test_bad_number_raises_model_format_error(self, tmp_path, document, place, literal):
+        path = tmp_path / "bad.json"
+        _with_literal(path, document, place, literal)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ModelFormatError, match=re.escape(str(path))):
+                load_model(str(path))
+
+    def test_weight_count_must_match_layer_dims(self, tmp_path, document):
+        path = tmp_path / "short.json"
+        shorter = document["drift_net"]["weights"][0][:-1]
+        _with_literal(path, document, _first_weight_list, json.dumps(shorter))
+        with pytest.raises(ModelFormatError, match=re.escape(str(path))):
+            load_model(str(path))
+
+    @pytest.mark.parametrize("literal", [b"[1,,2]", b'"\xff is not UTF-8"'])
+    def test_invalid_file_reports_the_place_in_the_file(self, tmp_path, document, literal):
+        path = tmp_path / "bad.json"
+        _with_literal(path, document, _first_weight_list, "@@@")
+        path.write_bytes(path.read_bytes().replace(b"@@@", literal))
+        with pytest.raises(ValueError) as parsed:
+            json.loads(path.read_bytes())
+        with pytest.raises(ModelFormatError) as loaded:
+            load_model(str(path))
+        assert str(loaded.value) == f"{path}: invalid JSON ({parsed.value})"
 
 
 # ---------------------------------------------------------------------------
