@@ -6,7 +6,7 @@ networks for the drift ``mu`` and the (diagonal, positive) diffusion
 ``sigma``.  The package trains both networks from transition data, simulates
 new trajectories by Euler-Maruyama integration, and verifies models against
 the analytic machinery that justifies the construction: regularity constants,
-Lyapunov generators, moment ODEs, and Picard iteration.
+Lyapunov generators, and moment ODEs.
 
 Everything is deterministic given explicit integer seeds; there is no hidden
 global random state anywhere.
@@ -59,12 +59,10 @@ from .sde_model import (
     BLOWUP_LIMIT,
     EmbeddingTrajectory,
     LinearSdeSpec,
-    PicardResult,
     SdeModel,
     TimeEncoding,
     generate_answer,
     linear_sde_model,
-    picard_iterates,
     sample_linear_trajectories,
     simulate,
     simulate_ensemble,
@@ -88,7 +86,6 @@ __all__ = [
     "MomentReport",
     "NumericalError",
     "PcaResult",
-    "PicardResult",
     "RegularityEstimate",
     "RngStream",
     "SdeModel",
@@ -114,7 +111,6 @@ __all__ = [
     "moment_monte_carlo",
     "moment_ode_solve",
     "pca_fit",
-    "picard_iterates",
     "sample_linear_trajectories",
     "save_model",
     "save_trajectories",

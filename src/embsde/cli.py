@@ -195,19 +195,15 @@ def cmd_diagnose(args) -> int:
         raise ValidationError("--oracle moment analysis needs dim-1 data")
     if trajectories[0].dim != model.dim:
         raise DimensionMismatchError(f"probe dim {trajectories[0].dim}, model dim {model.dim}")
-    os.makedirs(args.out_dir, exist_ok=True)
 
+    # every estimate runs before the output directory exists, so a failure writes nothing
     pooled = np.vstack([t.states for t in trajectories])
     probes = _subsample_probes(pooled, args.probes)
     regularity = estimate_regularity(model, probes, t=args.t)
     lyapunov = lyapunov_check(model, probes, t=args.t)
-
     first = trajectories[0]
     _, errors = compare_trajectories(first, model)
-    write_comparison_csv(os.path.join(args.out_dir, "trajectory_compare.csv"), first.times, errors)
     heatmap = uncertainty_heatmap(model, first)
-    write_heatmap_csv(os.path.join(args.out_dir, "heatmap.csv"), heatmap, first.tokens)
-
     if reference is not None:
         starts = np.array([t.states[0, 0] for t in trajectories])
         report = moment_monte_carlo(
@@ -219,8 +215,6 @@ def cmd_diagnose(args) -> int:
             seed=args.seed,
             reference=reference,
         )
-        write_moments_csv(os.path.join(args.out_dir, "moments.csv"), report)
-
     summary = {
         "regularity": {
             "lipschitz_k": regularity.lipschitz_k,
@@ -234,10 +228,14 @@ def cmd_diagnose(args) -> int:
         },
         "probe_time": args.t,
     }
-    _atomic_write_text(
-        os.path.join(args.out_dir, "diagnostics.json"),
-        json.dumps(summary, indent=2, allow_nan=False) + "\n",
-    )
+    summary_text = json.dumps(summary, indent=2, allow_nan=False) + "\n"
+
+    os.makedirs(args.out_dir, exist_ok=True)
+    write_comparison_csv(os.path.join(args.out_dir, "trajectory_compare.csv"), first.times, errors)
+    write_heatmap_csv(os.path.join(args.out_dir, "heatmap.csv"), heatmap, first.tokens)
+    if reference is not None:
+        write_moments_csv(os.path.join(args.out_dir, "moments.csv"), report)
+    _atomic_write_text(os.path.join(args.out_dir, "diagnostics.json"), summary_text)
     print(
         f"wrote {args.out_dir}: K={regularity.lipschitz_k:.6g} C={regularity.growth_c:.6g} "
         f"max LV={lyapunov.max_generator:.6g} stable={lyapunov.stable_flag}"

@@ -35,6 +35,8 @@ from .sde_model import (
 
 # pairs closer than this in state space are skipped in Lipschitz ratios
 _MIN_PAIR_DISTANCE = 1e-9
+# pair-difference floats per block in estimate_regularity: bounds its memory
+_PAIR_BLOCK = 2**16
 
 
 @dataclass(frozen=True)
@@ -54,10 +56,10 @@ class RegularityEstimate:
 
 @dataclass(frozen=True)
 class LyapunovReport:
-    """Generator of ``V(x) = x'Px`` evaluated at probe states."""
+    """Generator of ``V(x) = x'Px`` at probe states: ``generator_values[i]`` at row ``i``."""
 
     p_matrix: np.ndarray
-    generator_values: list[tuple[np.ndarray, float]]
+    generator_values: np.ndarray
     max_generator: float
     stable_flag: bool
 
@@ -98,11 +100,20 @@ class VectorFieldGrid:
     diffusion_magnitudes: np.ndarray
 
 
+def _fields(model: SdeModel, x: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
+    """Both fields at the rows of ``x`` from one net input; overflow gives inf, not warnings."""
+    inp = model._net_input(x, model.time_encoding.encode_batch(t))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return model.drift_net.forward(inp), model.diffusion_net.forward(inp)
+
+
 def estimate_regularity(model: SdeModel, probe_states, t: float) -> RegularityEstimate:
     """Max regularity ratios over all probe pairs at a fixed time.
 
     Pairs closer than 1e-9 in state space are skipped; if every pair is
-    that degenerate the estimate is refused.
+    that degenerate, or a constant is not finite, the estimate is refused.
+    The pairs are walked in blocks of at most ``2**16 // d``, so memory
+    grows with the number of probes, not with the number of pairs.
     """
     probes = np.atleast_2d(np.asarray(probe_states, dtype=np.float64))
     if probes.shape[0] < 2:
@@ -110,25 +121,33 @@ def estimate_regularity(model: SdeModel, probe_states, t: float) -> RegularityEs
     if probes.shape[1] != model.dim:
         raise DimensionMismatchError(f"probe dim {probes.shape[1]}, model dim {model.dim}")
 
-    mu = model.drift(probes, t)
-    sigma = model.diffusion(probes, t)
-
+    mu, sigma = _fields(model, probes, t)
     iu, ju = np.triu_indices(probes.shape[0], k=1)
-    dx = np.linalg.norm(probes[iu] - probes[ju], axis=1)
-    keep = dx >= _MIN_PAIR_DISTANCE
-    if not np.any(keep):
+    block = max(1, _PAIR_BLOCK // model.dim)
+    lipschitz_k, n_pairs = -np.inf, 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, iu.size, block):
+            i, j = iu[start : start + block], ju[start : start + block]
+            dx = np.linalg.norm(probes[i] - probes[j], axis=1)
+            keep = dx >= _MIN_PAIR_DISTANCE
+            i, j = i[keep], j[keep]
+            dmu = np.linalg.norm(mu[i] - mu[j], axis=1)
+            dsigma = np.linalg.norm(sigma[i] - sigma[j], axis=1)
+            ratio = (dmu + dsigma) / dx[keep]
+            # np.maximum and np.max propagate NaN, as one max over all pairs would
+            lipschitz_k = np.maximum(lipschitz_k, np.max(ratio, initial=-np.inf))
+            n_pairs += i.size
+        growth = np.sum(mu**2, axis=1) + np.sum(sigma**2, axis=1)
+        growth /= 1.0 + np.sum(probes**2, axis=1)
+    if n_pairs == 0:
         raise EstimationError("all probe pairs are degenerate (states coincide)")
-    dmu = np.linalg.norm(mu[iu] - mu[ju], axis=1)
-    dsigma = np.linalg.norm(sigma[iu] - sigma[ju], axis=1)
-    lipschitz_k = float(np.max((dmu[keep] + dsigma[keep]) / dx[keep]))
-
-    growth = (np.sum(mu**2, axis=1) + np.sum(sigma**2, axis=1)) / (
-        1.0 + np.sum(probes**2, axis=1)
-    )
+    lipschitz_k, growth_c = float(lipschitz_k), float(np.max(growth))
+    if not (math.isfinite(lipschitz_k) and math.isfinite(growth_c)):
+        raise EstimationError(f"non-finite regularity constants K={lipschitz_k} C={growth_c}")
     return RegularityEstimate(
         lipschitz_k=lipschitz_k,
-        growth_c=float(np.max(growth)),
-        n_probe_pairs=int(np.count_nonzero(keep)),
+        growth_c=growth_c,
+        n_probe_pairs=n_pairs,
         state_region=(probes.min(axis=0), probes.max(axis=0)),
     )
 
@@ -140,7 +159,7 @@ def lyapunov_check(
 
     ``p_matrix`` defaults to the identity and must be symmetric positive
     definite.  With diagonal diffusion the trace term reduces to
-    ``sum_j P_jj sigma_j^2``.
+    ``sum_j P_jj sigma_j^2``.  A non-finite maximum is refused.
     """
     probes = np.atleast_2d(np.asarray(probe_states, dtype=np.float64))
     if probes.shape[1] != model.dim:
@@ -153,15 +172,15 @@ def lyapunov_check(
     if np.linalg.eigvalsh(p)[0] <= 0.0:
         raise ValidationError("P must be positive definite")
 
-    mu = model.drift(probes, t)
-    sigma = model.diffusion(probes, t)
-    p_diag = np.diag(p)
-    values = 2.0 * np.sum(probes * (mu @ p.T), axis=1) + np.sum(p_diag * sigma**2, axis=1)
-    pairs = [(probes[i].copy(), float(values[i])) for i in range(probes.shape[0])]
+    mu, sigma = _fields(model, probes, t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = 2.0 * np.sum(probes * (mu @ p.T), axis=1) + np.sum(np.diag(p) * sigma**2, axis=1)
     max_gen = float(np.max(values))
+    if not math.isfinite(max_gen):
+        raise EstimationError(f"non-finite Lyapunov generator: max LV = {max_gen}")
     return LyapunovReport(
         p_matrix=p,
-        generator_values=pairs,
+        generator_values=values,
         max_generator=max_gen,
         stable_flag=max_gen <= 0.0,
     )
@@ -307,9 +326,7 @@ def drift_vector_field(
     gx, gy = np.meshgrid(axes[0], axes[1])  # rows ordered by gy, then gx
     grid = np.column_stack([gx.ravel(), gy.ravel()])
 
-    lifted = pca.mean + grid @ pca.basis
-    mu = model.drift(lifted, t)
-    sigma = model.diffusion(lifted, t)
+    mu, sigma = _fields(model, pca.mean + grid @ pca.basis, t)
     return VectorFieldGrid(
         plane_basis=pca.basis,
         plane_mean=pca.mean,

@@ -198,18 +198,6 @@ class MlpNetwork:
     def flatten_params(self) -> np.ndarray:
         return self.params.copy()
 
-    def unflatten_params(self, vec: np.ndarray) -> None:
-        vec = np.asarray(vec, dtype=np.float64)
-        if vec.shape != (self.n_params,):
-            raise DimensionMismatchError(f"expected {self.n_params} params, got {vec.shape}")
-        self.params[:] = vec
-
-    def copy(self) -> "MlpNetwork":
-        return MlpNetwork(
-            self.layer_dims, self.weights, self.biases,
-            self.hidden_activation, self.output_activation,
-        )
-
 
 def glorot_init(
     layer_dims: list[int],

@@ -173,8 +173,8 @@ def pca_fit(points, k: int) -> PcaResult:
     covariance from one ``numpy.linalg.eigh`` call, in descending eigenvalue
     order (a stable sort, so ties keep eigh's order), each signed so its
     first component above 1e-12 in magnitude is positive.  A cloud with zero
-    variance (one point, or all identical) or whose squared coordinates
-    overflow float64 raises :class:`EstimationError`.
+    variance (one point, or all identical) or whose covariance overflows
+    float64 raises :class:`EstimationError`.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if pts.ndim != 2 or pts.size == 0:
@@ -187,15 +187,17 @@ def pca_fit(points, k: int) -> PcaResult:
             f"k={k} out of range for {n} points of dimension {d}"
         )
 
+    # zero variance is spread <= 1e-24 * max(1, largest squared row norm); both
+    # sides are compared over m**2, so neither can overflow
+    m = max(1.0, float(np.max(np.abs(pts))))
+    scale = max(1.0, float(np.max(np.sum(np.square(pts / m), axis=1))))
     with np.errstate(over="ignore", invalid="ignore"):
         mean = pts.mean(axis=0)
         centered = pts - mean
         cov = (centered.T @ centered) / max(n - 1, 1)
-        scale = max(1.0, float(np.max(np.sum(pts * pts, axis=1))))
-    spread = float(np.trace(cov))
-    if not (math.isfinite(spread) and math.isfinite(scale)):
+    if not np.isfinite(cov).all():
         raise EstimationError("point cloud too large: squared coordinates overflow float64")
-    if spread <= 1e-24 * scale:
+    if float(np.sum(np.diag(cov) / m / m)) <= 1e-24 * scale:
         raise EstimationError("degenerate point cloud: zero variance in every direction")
 
     vals, vecs = np.linalg.eigh(cov)

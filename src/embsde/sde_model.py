@@ -12,15 +12,15 @@ the same numbers and lets paths be generated independently.  Noise is drawn in
 blocks of steps (at most 2**16 normals) at addresses fixed by path and step.
 
 Also here: the question-to-answer generation procedure (start from the mean
-of the question embeddings, integrate forward one token per step), analytic
-linear fixtures used as ground truth in tests and the bundled synthetic
-dataset, and the deterministic Picard successive-approximation validator.
+of the question embeddings, integrate forward one token per step), and the
+analytic linear fixtures used as ground truth in tests and the bundled
+synthetic dataset.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -363,60 +363,3 @@ def sample_linear_trajectories(
     states = _euler_maruyama(model, x0_low + (x0_high - x0_low) * u, seeds, n_steps, dt)
     times = dt * np.arange(n_steps + 1)
     return [EmbeddingTrajectory(states=s, times=times.copy()) for s in states]
-
-
-# ---------------------------------------------------------------------------
-# Picard successive approximations (deterministic validator)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PicardResult:
-    """Successive approximations and their sup-norm gaps.
-
-    ``iterates[n]`` is iterate ``n`` evaluated on ``t_grid`` (shape
-    ``(len(t_grid), d)``); ``gaps[n]`` is the sup norm of
-    ``iterates[n+1] - iterates[n]``.
-    """
-
-    t_grid: np.ndarray
-    iterates: list[np.ndarray] = field(default_factory=list)
-    gaps: list[float] = field(default_factory=list)
-
-
-def picard_iterates(spec: LinearSdeSpec, x0, t_grid, n_iters: int) -> PicardResult:
-    """Deterministic Picard scheme for ``dX = a X dt`` (requires ``b = 0``).
-
-    Iterate 0 is the constant ``x0``; iterate ``n+1`` integrates
-    ``a * X_n`` from the grid start by the trapezoid rule.  For contractive
-    ``a`` on a unit interval the gaps decay factorially.
-    """
-    if spec.b != 0.0:
-        raise ValidationError("the Picard validator is deterministic; b must be 0")
-    if n_iters < 1:
-        raise ValidationError("need at least one iteration")
-    t = np.asarray(t_grid, dtype=np.float64)
-    if t.ndim != 1 or t.size < 2:
-        raise ValidationError("t_grid needs at least two points")
-    deltas = np.diff(t)
-    if np.any(deltas <= 0.0):
-        raise ValidationError("t_grid must be strictly increasing")
-    if np.max(np.abs(deltas - deltas[0])) > 1e-12 * max(1.0, abs(float(deltas[0]))):
-        raise ValidationError("t_grid must be uniformly spaced")
-    x0 = np.atleast_1d(np.asarray(x0, dtype=np.float64))
-    if x0.shape != (spec.dim,):
-        raise DimensionMismatchError(f"x0 shape {x0.shape}, spec dim {spec.dim}")
-
-    current = np.tile(x0, (t.size, 1))
-    iterates = [current]
-    gaps = []
-    for _ in range(n_iters):
-        integrand = spec.a * current
-        # cumulative trapezoid rule from the grid start
-        increments = 0.5 * deltas[:, None] * (integrand[1:] + integrand[:-1])
-        integral = np.vstack([np.zeros((1, spec.dim)), np.cumsum(increments, axis=0)])
-        nxt = x0[None, :] + integral
-        gaps.append(float(np.max(np.abs(nxt - current))))
-        iterates.append(nxt)
-        current = nxt
-    return PicardResult(t_grid=t, iterates=iterates, gaps=gaps)

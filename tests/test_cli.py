@@ -312,6 +312,30 @@ class TestDiagnose:
         assert capsys.readouterr().err == "embsde: error: probe dim 1, model dim 3\n"
         assert not out_dir.exists()
 
+    def test_moment_blowup_exits_2_writing_nothing(self, tmp_path, capsys):
+        # a = 40 leaves the blow-up box within 20 steps, after every other estimate ran
+        data = _synth(tmp_path, n_traj=20, steps=20)
+        model = _linear_model(tmp_path, a=40.0)
+        out_dir = tmp_path / "d"
+        rc = main(["diagnose", "--model", model, "--data", data,
+                   "--out-dir", str(out_dir), "--oracle=-1,0.5", "--paths", "200"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("embsde: numerical error: ") and "paths left" in err
+        assert err.count("\n") == 1
+        assert not out_dir.exists()
+
+    def test_overflowing_model_exits_2_writing_nothing(self, tmp_path, capsys):
+        # a drift weight of 1e300 makes |mu|^2 overflow: no traceback, no warning, no files
+        data = _synth(tmp_path, n_traj=3, steps=4)
+        model = _linear_model(tmp_path, a=1e300)
+        out_dir = tmp_path / "d"
+        rc = main(["diagnose", "--model", model, "--data", data, "--out-dir", str(out_dir)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("embsde: numerical error: ") and err.count("\n") == 1
+        assert not out_dir.exists()
+
     def test_oracle_on_dim2_data_exits_1_writing_nothing(self, tmp_path, capsys):
         data = _synth(tmp_path, dim=2, n_traj=3, steps=4)
         model = _linear_model(tmp_path, dim=2)

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from embsde.diagnostics import (
+    _PAIR_BLOCK,
     compare_trajectories,
     drift_vector_field,
     estimate_regularity,
@@ -14,10 +16,12 @@ from embsde.diagnostics import (
     word_importance,
 )
 from embsde.errors import DimensionMismatchError, EstimationError, ValidationError
+from embsde.mlp import glorot_init
 from embsde.numeric_core import RngStream
 from embsde.sde_model import (
     EmbeddingTrajectory,
     LinearSdeSpec,
+    SdeModel,
     TimeEncoding,
     linear_sde_model,
     sample_linear_trajectories,
@@ -29,6 +33,24 @@ NO_TIME = TimeEncoding(kind="none")
 
 def fixture_model(a, b, dim=1):
     return linear_sde_model(LinearSdeSpec(a=a, b=b, dim=dim), NO_TIME)
+
+
+def random_model(dim, seed=0, hidden=16):
+    """A nonlinear model: tanh drift and softplus diffusion nets with a time feature."""
+    rng = RngStream(seed)
+    layers = [dim + 1, hidden, dim]
+    return SdeModel(dim, glorot_init(layers, rng), glorot_init(layers, rng, "tanh", "softplus"))
+
+
+def all_pairs_regularity(model, probes, t):
+    """Lipschitz ratio and pair count from all pairs at once, without blocks."""
+    mu, sigma = model.drift(probes, t), model.diffusion(probes, t)
+    iu, ju = np.triu_indices(probes.shape[0], k=1)
+    dx = np.linalg.norm(probes[iu] - probes[ju], axis=1)
+    keep = dx >= 1e-9
+    dmu = np.linalg.norm(mu[iu] - mu[ju], axis=1)
+    dsigma = np.linalg.norm(sigma[iu] - sigma[ju], axis=1)
+    return float(np.max((dmu[keep] + dsigma[keep]) / dx[keep])), int(np.count_nonzero(keep))
 
 
 class TestEstimateRegularity:
@@ -78,25 +100,64 @@ class TestEstimateRegularity:
         with pytest.raises(DimensionMismatchError):
             estimate_regularity(model, np.ones((3, 2)), 0.0)
 
+    @pytest.mark.parametrize("dim, n_probes", [(1, 64), (64, 256), (768, 64)])
+    def test_blocks_match_all_pairs(self, dim, n_probes):
+        model = random_model(dim, seed=dim)
+        probes = RngStream(dim + 1).normals(n_probes * dim).reshape(n_probes, dim)
+        est = estimate_regularity(model, probes, t=0.3)
+        assert (est.lipschitz_k, est.n_probe_pairs) == all_pairs_regularity(model, probes, 0.3)
+
+    @pytest.mark.parametrize("dim, n_probes", [(64, 256), (768, 64)])
+    def test_coincident_pairs_across_a_block_boundary(self, dim, n_probes):
+        # the last pair of block 0 and the first of block 1 both coincide
+        model = random_model(dim, seed=5)
+        probes = RngStream(6).normals(n_probes * dim).reshape(n_probes, dim)
+        iu, ju = np.triu_indices(n_probes, k=1)
+        block = _PAIR_BLOCK // dim
+        for pair in (block - 1, block):
+            probes[ju[pair]] = probes[iu[pair]]
+        est = estimate_regularity(model, probes, t=0.0)
+        assert (est.lipschitz_k, est.n_probe_pairs) == all_pairs_regularity(model, probes, 0.0)
+        assert est.n_probe_pairs < iu.size
+
+    def test_memory_grows_with_probes_not_pairs(self):
+        model = random_model(768, hidden=32)
+        probes = RngStream(2).normals(256 * 768).reshape(256, 768)
+        tracemalloc.start()
+        try:
+            estimate_regularity(model, probes, t=0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6  # three all-pairs difference arrays took 405.8 MB
+
+    def test_overflowing_fields_refused(self):
+        # |mu|^2 overflows float64: the constants are refused, with no RuntimeWarning
+        model = fixture_model(a=1e300, b=0.5)
+        with pytest.raises(EstimationError, match="non-finite"):
+            estimate_regularity(model, np.linspace(-2.0, 2.0, 5)[:, None], 0.0)
+
 
 class TestLyapunovCheck:
     def test_contractive_drift_exact_generator(self):
         model = fixture_model(a=-1.0, b=0.0, dim=2)
         report = lyapunov_check(model, np.array([[1.0, 0.0]]), t=0.0)
-        assert abs(report.generator_values[0][1] + 2.0) < 1e-12
+        assert abs(report.generator_values[0] + 2.0) < 1e-12
         assert report.stable_flag
 
     def test_generator_is_minus_two_norm_squared(self):
         model = fixture_model(a=-1.0, b=0.0, dim=3)
         probes = RngStream(4).normals(100 * 3).reshape(100, 3)
         report = lyapunov_check(model, probes, t=0.0)
-        for state, value in report.generator_values:
+        assert report.generator_values.shape == (100,)
+        for state, value in zip(probes, report.generator_values):
             assert abs(value + 2.0 * float(state @ state)) < 1e-9
 
     def test_pure_noise_unstable(self):
         model = fixture_model(a=0.0, b=1.0)
         report = lyapunov_check(model, np.array([[0.0], [1.0], [-2.0]]), t=0.0)
-        assert all(abs(v - 1.0) < 1e-12 for _, v in report.generator_values)
+        assert report.generator_values.shape == (3,)
+        assert all(abs(v - 1.0) < 1e-12 for v in report.generator_values)
         assert not report.stable_flag
 
     def test_mixed_fields_closed_form(self):
@@ -111,7 +172,12 @@ class TestLyapunovCheck:
         model = fixture_model(a=-1.0, b=0.0, dim=2)
         p = np.diag([2.0, 1.0])
         report = lyapunov_check(model, np.array([[1.0, 1.0]]), t=0.0, p_matrix=p)
-        assert abs(report.generator_values[0][1] + 6.0) < 1e-12
+        assert abs(report.generator_values[0] + 6.0) < 1e-12
+
+    def test_overflowing_generator_refused(self):
+        model = fixture_model(a=1e300, b=0.5)
+        with pytest.raises(EstimationError, match="non-finite"):
+            lyapunov_check(model, np.array([[1e10], [-3.0]]), t=0.0)
 
     def test_p_validation(self):
         model = fixture_model(a=-1.0, b=0.0, dim=2)

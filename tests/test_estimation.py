@@ -171,14 +171,15 @@ class TestLossGradients:
         sigma = np.ones_like(mu)
         _, _, grad_mu, _ = _loss_kernel(mu, sigma, x, x_next, dt, with_grads=True)
 
+        grads = net.backward(cache, grad_mu)
+
         def loss_at(theta):
-            probe = net.copy()
-            probe.unflatten_params(theta)
-            r = x_next - x - probe.forward(feats) * dt[:, None]
+            net.params[:] = theta
+            r = x_next - x - net.forward(feats) * dt[:, None]
             return float(np.mean(np.sum(r * r, axis=1)))
 
         fd = fd_grad(loss_at, net.flatten_params())
-        np.testing.assert_allclose(net.backward(cache, grad_mu), fd, rtol=1e-3, atol=1e-9)
+        np.testing.assert_allclose(grads, fd, rtol=1e-3, atol=1e-9)
 
     def test_diffusion_grads_match_fd(self):
         # the drift residual enters the diffusion loss as data (stop-gradient)
@@ -192,15 +193,16 @@ class TestLossGradients:
         mu = np.zeros_like(sigma)
         _, _, _, grad_sigma = _loss_kernel(mu, sigma, x, x + resid, dt, with_grads=True)
 
+        grads = net.backward(cache, grad_sigma)
+
         def loss_at(theta):
-            probe = net.copy()
-            probe.unflatten_params(theta)
-            s = probe.forward(feats)
+            net.params[:] = theta
+            s = net.forward(feats)
             terms = resid**2 / (2 * s**2 * dt[:, None]) + np.log(s) + 0.5 * np.log(dt)[:, None]
             return float(np.mean(np.sum(terms, axis=1)))
 
         fd = fd_grad(loss_at, net.flatten_params())
-        np.testing.assert_allclose(net.backward(cache, grad_sigma), fd, rtol=1e-3, atol=1e-9)
+        np.testing.assert_allclose(grads, fd, rtol=1e-3, atol=1e-9)
 
 
 class TestSplit:

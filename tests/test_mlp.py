@@ -99,9 +99,8 @@ class TestBackward:
         coef = RngStream(13).normals(5 * 2).reshape(5, 2)
 
         def objective(params):
-            probe = net.copy()
-            probe.unflatten_params(params)
-            return float(np.sum(coef * probe.forward(xs)))
+            net.params[:] = params
+            return float(np.sum(coef * net.forward(xs)))
 
         out, cache = net.forward_with_cache(xs)
         grads = net.backward(cache, coef)
@@ -130,23 +129,10 @@ class TestBackward:
 
 
 class TestParamsRoundTrip:
-    def test_flatten_unflatten(self):
-        net = small_net()
-        theta = net.flatten_params()
-        other = glorot_init([3, 8, 2], RngStream(77))
-        other.unflatten_params(theta)
-        np.testing.assert_array_equal(other.flatten_params(), theta)
-        for wa, wb in zip(net.weights, other.weights):
-            np.testing.assert_array_equal(wa, wb)
-
     def test_n_params(self):
         net = small_net()
         assert net.n_params == 3 * 8 + 8 + 8 * 2 + 2
         assert net.flatten_params().shape == (net.n_params,)
-
-    def test_wrong_size_rejected(self):
-        with pytest.raises(DimensionMismatchError):
-            small_net().unflatten_params(np.zeros(5))
 
     def test_weights_and_biases_stay_views_of_params(self, tmp_path):
         def assert_views(net):
@@ -155,13 +141,10 @@ class TestParamsRoundTrip:
             np.testing.assert_array_equal(np.concatenate(laid_out), net.params)
 
         net = small_net()
-        net.unflatten_params(np.ones(net.n_params))
+        net.params[:] = 1.0
         assert_views(net)
         sgd_step(net, np.ones(net.n_params), lr=0.1)
         assert_views(net)
-        clone = net.copy()
-        assert not np.shares_memory(clone.params, net.params)
-        assert_views(clone)
         path = str(tmp_path / "model.json")
         save_model(path, SdeModel(2, small_net(), small_net("softplus"), TimeEncoding()))
         loaded = load_model(path).model

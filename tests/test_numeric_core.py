@@ -371,6 +371,17 @@ class TestPcaFit:
             with pytest.raises(EstimationError, match="overflow"):
                 pca_fit(pts, 2)
 
+    def test_cloud_with_finite_covariance_fits(self):
+        # squared row norms (3e310) overflow, the covariance (1e300) does not
+        rng = np.random.default_rng(5)
+        pts = 1e155 + 1e150 * rng.standard_normal((20, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = pca_fit(pts, 2)
+        np.testing.assert_allclose(res.basis @ res.basis.T, np.eye(2), atol=1e-12)
+        ref = np.linalg.eigvalsh(np.cov(((pts - pts.mean(axis=0)) / 1e150).T))[::-1][:2]
+        np.testing.assert_allclose(res.explained_variance / 1e300, ref, rtol=1e-9)
+
     def test_high_dim_uses_power_iteration(self):
         # d=80 with two planted dominant directions, against the power-iteration reference
         rng = np.random.default_rng(6)

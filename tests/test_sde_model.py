@@ -16,12 +16,10 @@ from embsde.sde_model import (
     _NOISE_BLOCK,
     EmbeddingTrajectory,
     LinearSdeSpec,
-    PicardResult,
     SdeModel,
     TimeEncoding,
     generate_answer,
     linear_sde_model,
-    picard_iterates,
     sample_linear_trajectories,
     simulate,
     simulate_ensemble,
@@ -480,43 +478,3 @@ class TestSampleLinearTrajectories:
         finals = [t.states[-1, 0] for t in trajs]
         assert len(set(finals)) == 3
 
-
-class TestPicard:
-    def test_truncated_exponential_series(self):
-        # iterate n equals sum_{k<=n} (-t)^k / k! up to trapezoid error
-        res = picard_iterates(
-            LinearSdeSpec(a=-1.0, b=0.0, dim=1), [1.0], np.linspace(0.0, 1.0, 1001), 10
-        )
-        series = sum((-1.0) ** k / math.factorial(k) for k in range(11))
-        assert abs(res.iterates[10][-1, 0] - series) < 1e-6
-        assert abs(res.iterates[10][-1, 0] - 0.367879) < 1e-5
-
-    def test_partial_iterate_matches_series_midgrid(self):
-        res = picard_iterates(
-            LinearSdeSpec(a=-1.0, b=0.0, dim=1), [1.0], np.linspace(0.0, 1.0, 2001), 4
-        )
-        t = 0.5
-        idx = 1000
-        series = sum((-t) ** k / math.factorial(k) for k in range(5))
-        assert abs(res.iterates[4][idx, 0] - series) < 1e-6
-
-    def test_zero_drift_constant_iterates(self):
-        res = picard_iterates(LinearSdeSpec(a=0.0, b=0.0, dim=2), [1.0, -1.0], [0.0, 0.5, 1.0], 3)
-        for it in res.iterates:
-            np.testing.assert_array_equal(it, np.tile([1.0, -1.0], (3, 1)))
-        assert res.gaps == [0.0, 0.0, 0.0]
-
-    def test_gaps_decrease(self):
-        res = picard_iterates(
-            LinearSdeSpec(a=-1.0, b=0.0, dim=1), [1.0], np.linspace(0.0, 1.0, 101), 8
-        )
-        assert all(b <= a for a, b in zip(res.gaps, res.gaps[1:]))
-        assert res.gaps[-1] < 1e-4
-
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            picard_iterates(LinearSdeSpec(a=-1.0, b=0.5, dim=1), [1.0], [0.0, 1.0], 2)
-        with pytest.raises(ValidationError):
-            picard_iterates(LinearSdeSpec(a=-1.0, b=0.0, dim=1), [1.0], [0.0, 0.5, 0.7], 2)
-        with pytest.raises(DimensionMismatchError):
-            picard_iterates(LinearSdeSpec(a=-1.0, b=0.0, dim=2), [1.0], [0.0, 0.5, 1.0], 2)
