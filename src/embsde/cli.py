@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import warnings
@@ -97,6 +98,11 @@ def _load_nonempty(path: str, purpose: str = "") -> list:
     if not trajectories:
         raise ValidationError(f"{path}: no trajectories{purpose}")
     return trajectories
+
+
+def _check_probe_time(t: float) -> None:
+    if not math.isfinite(t):  # argparse's float accepts inf and nan
+        raise ValidationError(f"--t must be finite, got {t}")
 
 
 def _subsample_probes(states: np.ndarray, count: int) -> np.ndarray:
@@ -188,6 +194,7 @@ def cmd_answer(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
+    _check_probe_time(args.t)
     model = load_model(args.model).model
     trajectories = _load_nonempty(args.data, " to diagnose against")
     reference = None if args.oracle is None else _parse_oracle(args.oracle)
@@ -203,7 +210,7 @@ def cmd_diagnose(args) -> int:
     lyapunov = lyapunov_check(model, probes, t=args.t)
     first = trajectories[0]
     _, errors = compare_trajectories(first, model)
-    heatmap = uncertainty_heatmap(model, first)
+    mags, log_mags = uncertainty_heatmap(model, first)
     if reference is not None:
         starts = np.array([t.states[0, 0] for t in trajectories])
         report = moment_monte_carlo(
@@ -232,7 +239,7 @@ def cmd_diagnose(args) -> int:
 
     os.makedirs(args.out_dir, exist_ok=True)
     write_comparison_csv(os.path.join(args.out_dir, "trajectory_compare.csv"), first.times, errors)
-    write_heatmap_csv(os.path.join(args.out_dir, "heatmap.csv"), heatmap, first.tokens)
+    write_heatmap_csv(os.path.join(args.out_dir, "heatmap.csv"), mags, log_mags, first.tokens)
     if reference is not None:
         write_moments_csv(os.path.join(args.out_dir, "moments.csv"), report)
     _atomic_write_text(os.path.join(args.out_dir, "diagnostics.json"), summary_text)
@@ -245,6 +252,7 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_field(args) -> int:
+    _check_probe_time(args.t)
     model = load_model(args.model).model
     trajectories = _load_nonempty(args.data, " for the plane fit")
     grid = drift_vector_field(model, trajectories, grid_resolution=args.res, t=args.t)
@@ -258,11 +266,11 @@ def cmd_importance(args) -> int:
     # one stderr line of our own, not the library warning with its source path
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", UserWarning)
-        pairs = word_importance(trajectories[0])
+        labels, norms = word_importance(trajectories[0])
     for warning in caught:
         print(f"embsde: warning: {warning.message}", file=sys.stderr)
-    write_importance_csv(args.out, pairs)
-    print(f"wrote {args.out}: {len(pairs)} tokens")
+    write_importance_csv(args.out, labels, norms)
+    print(f"wrote {args.out}: {len(labels)} tokens")
     return EXIT_OK
 
 

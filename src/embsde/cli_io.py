@@ -390,11 +390,10 @@ def write_losses_csv(path: str, records: list[LossRecord]) -> None:
     _write_csv(path, "epoch,split,total,drift,diffusion", columns)
 
 
-def write_comparison_csv(path: str, times, per_step_errors: list[float]) -> None:
+def write_comparison_csv(path: str, times, errors: np.ndarray) -> None:
     """Per-step prediction error norms; step ``k`` lands at ``times[k]``."""
-    n = len(per_step_errors)
-    columns = [range(1, n + 1), np.asarray(times)[1 : n + 1], np.asarray(per_step_errors)]
-    _write_csv(path, "step,t,error", columns)
+    n = len(errors)
+    _write_csv(path, "step,t,error", [range(1, n + 1), np.asarray(times)[1 : n + 1], errors])
 
 
 def write_vector_field_csv(path: str, grid) -> None:
@@ -404,17 +403,16 @@ def write_vector_field_csv(path: str, grid) -> None:
 
 
 def write_heatmap_csv(
-    path: str, entries: list[tuple[int, float, float]], tokens: list[str] | None
+    path: str, magnitudes: np.ndarray, log_magnitudes: np.ndarray, tokens: list[str] | None
 ) -> None:
-    positions = [pos for pos, _, _ in entries]
-    labels = positions if tokens is None else [tokens[pos] for pos in positions]
-    magnitudes = np.array([(mag, log_mag) for _, mag, log_mag in entries]).reshape(-1, 2)
-    _write_csv(path, "position,token,magnitude,log_magnitude", [positions, labels, *magnitudes.T])
+    """Diffusion norms by position; positions stand in for absent token labels."""
+    positions = range(len(magnitudes))
+    columns = [positions, positions if tokens is None else tokens, magnitudes, log_magnitudes]
+    _write_csv(path, "position,token,magnitude,log_magnitude", columns)
 
 
-def write_importance_csv(path: str, pairs: list[tuple[str, float]]) -> None:
-    columns = [range(len(pairs)), [token for token, _ in pairs], np.array([n for _, n in pairs])]
-    _write_csv(path, "position,token,l2_norm", columns)
+def write_importance_csv(path: str, labels: list[str], norms: np.ndarray) -> None:
+    _write_csv(path, "position,token,l2_norm", [range(len(labels)), labels, norms])
 
 
 def write_moments_csv(path: str, report) -> None:

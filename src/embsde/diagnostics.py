@@ -5,10 +5,10 @@ whether it behaves like a well-posed, stable SDE:
 
 * regularity: empirical Lipschitz and linear-growth constants over probe
   states (lower bounds on the true constants, never certificates);
-* Lyapunov: sign of the generator ``LV(x) = 2 x'P mu + sum_j P_jj sigma_j^2``
-  of the quadratic ``V(x) = x'Px`` at probe states;
-* moments: Monte Carlo mean/variance/raw-moment curves, paired with the
-  closed-form linear-oracle curves where those exist;
+* Lyapunov: sign of the generator ``LV(x) = 2 x'mu + |sigma|^2`` of
+  ``V(x) = |x|^2`` at probe states;
+* moments: Monte Carlo mean/variance curves and raw moments 3 and 4, paired
+  with the closed-form linear-oracle curves where those exist;
 * plot data: teacher-forced trajectory comparison, drift vector fields on a
   PCA plane, per-position diffusion magnitudes, per-token embedding norms.
 
@@ -51,14 +51,12 @@ class RegularityEstimate:
     lipschitz_k: float
     growth_c: float
     n_probe_pairs: int
-    state_region: tuple[np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
 class LyapunovReport:
-    """Generator of ``V(x) = x'Px`` at probe states: ``generator_values[i]`` at row ``i``."""
+    """Generator of ``V(x) = |x|^2`` at probe states: ``generator_values[i]`` at row ``i``."""
 
-    p_matrix: np.ndarray
     generator_values: np.ndarray
     max_generator: float
     stable_flag: bool
@@ -69,8 +67,8 @@ class MomentReport:
     """Moment curves over a shared time grid.
 
     ``mean_ode`` and ``var_ode`` are present only when a linear reference
-    spec was supplied; ``higher_moments_mc`` maps raw-moment order to its
-    Monte Carlo curve.
+    spec was supplied; ``higher_moments_mc`` maps raw-moment orders 3 and 4
+    to their Monte Carlo curves.
     """
 
     t_grid: np.ndarray
@@ -87,16 +85,14 @@ class VectorFieldGrid:
     """Drift arrows and diffusion magnitudes on a 2-D PCA plane.
 
     Grid rows are ordered by the second plane coordinate, then the first.
-    ``drift_arrows`` are the plane projections of the drift;
-    ``drift_magnitudes`` are the full-dimensional norms, recorded separately
-    so neither projection is conflated with the other.
+    ``drift_arrows`` are the plane projections of the drift and
+    ``diffusion_magnitudes`` the full-dimensional norms of the diffusion.
     """
 
     plane_basis: np.ndarray
     plane_mean: np.ndarray
     grid_points: np.ndarray
     drift_arrows: np.ndarray
-    drift_magnitudes: np.ndarray
     diffusion_magnitudes: np.ndarray
 
 
@@ -144,46 +140,25 @@ def estimate_regularity(model: SdeModel, probe_states, t: float) -> RegularityEs
     lipschitz_k, growth_c = float(lipschitz_k), float(np.max(growth))
     if not (math.isfinite(lipschitz_k) and math.isfinite(growth_c)):
         raise EstimationError(f"non-finite regularity constants K={lipschitz_k} C={growth_c}")
-    return RegularityEstimate(
-        lipschitz_k=lipschitz_k,
-        growth_c=growth_c,
-        n_probe_pairs=n_pairs,
-        state_region=(probes.min(axis=0), probes.max(axis=0)),
-    )
+    return RegularityEstimate(lipschitz_k=lipschitz_k, growth_c=growth_c, n_probe_pairs=n_pairs)
 
 
-def lyapunov_check(
-    model: SdeModel, probe_states, t: float, p_matrix: np.ndarray | None = None
-) -> LyapunovReport:
-    """Evaluate the generator of ``x'Px`` at probes; stable when max <= 0.
+def lyapunov_check(model: SdeModel, probe_states, t: float) -> LyapunovReport:
+    """Evaluate the generator of ``V(x) = |x|^2`` at probes; stable when max <= 0.
 
-    ``p_matrix`` defaults to the identity and must be symmetric positive
-    definite.  With diagonal diffusion the trace term reduces to
-    ``sum_j P_jj sigma_j^2``.  A non-finite maximum is refused.
+    With diagonal diffusion the generator is ``LV(x) = 2 x'mu + |sigma|^2``.
+    A non-finite maximum is refused.
     """
     probes = np.atleast_2d(np.asarray(probe_states, dtype=np.float64))
     if probes.shape[1] != model.dim:
         raise DimensionMismatchError(f"probe dim {probes.shape[1]}, model dim {model.dim}")
-    p = np.eye(model.dim) if p_matrix is None else np.asarray(p_matrix, dtype=np.float64)
-    if p.shape != (model.dim, model.dim):
-        raise DimensionMismatchError(f"P shape {p.shape}, model dim {model.dim}")
-    if float(np.max(np.abs(p - p.T))) > 1e-12:
-        raise ValidationError("P must be symmetric")
-    if np.linalg.eigvalsh(p)[0] <= 0.0:
-        raise ValidationError("P must be positive definite")
-
     mu, sigma = _fields(model, probes, t)
     with np.errstate(over="ignore", invalid="ignore"):
-        values = 2.0 * np.sum(probes * (mu @ p.T), axis=1) + np.sum(np.diag(p) * sigma**2, axis=1)
+        values = 2.0 * np.sum(probes * mu, axis=1) + np.sum(sigma**2, axis=1)
     max_gen = float(np.max(values))
     if not math.isfinite(max_gen):
         raise EstimationError(f"non-finite Lyapunov generator: max LV = {max_gen}")
-    return LyapunovReport(
-        p_matrix=p,
-        generator_values=values,
-        max_generator=max_gen,
-        stable_flag=max_gen <= 0.0,
-    )
+    return LyapunovReport(values, max_gen, stable_flag=max_gen <= 0.0)
 
 
 def moment_ode_solve(
@@ -219,7 +194,6 @@ def moment_monte_carlo(
     t_grid,
     n_paths: int,
     seed: int,
-    max_order: int = 4,
     reference: LinearSdeSpec | None = None,
 ) -> MomentReport:
     """Monte Carlo moment curves for a scalar model on a uniform grid.
@@ -235,8 +209,6 @@ def moment_monte_carlo(
         raise ValidationError(f"need at least 100 paths, got {n_paths}")
     if x0_var < 0.0:
         raise ValidationError(f"x0_var must be nonnegative, got {x0_var}")
-    if max_order < 2:
-        raise ValidationError(f"max_order must be at least 2, got {max_order}")
     t = np.asarray(t_grid, dtype=np.float64)
     if t.ndim != 1 or t.size < 2:
         raise ValidationError("t_grid needs at least two points")
@@ -255,7 +227,7 @@ def moment_monte_carlo(
     vals = ens[:, :, 0]
     mean_mc = vals.mean(axis=0)
     var_mc = vals.var(axis=0, ddof=1)
-    higher = {order: (vals**order).mean(axis=0) for order in range(3, max_order + 1)}
+    higher = {order: (vals**order).mean(axis=0) for order in (3, 4)}
 
     mean_ode = var_ode = None
     if reference is not None:
@@ -273,13 +245,13 @@ def moment_monte_carlo(
 
 def compare_trajectories(
     actual: EmbeddingTrajectory, model: SdeModel
-) -> tuple[EmbeddingTrajectory, list[float]]:
+) -> tuple[EmbeddingTrajectory, np.ndarray]:
     """Teacher-forced one-step drift prediction against an observed path.
 
     Each prediction starts from the true previous state and applies only the
     drift: ``x_hat_{i+1} = x_i + mu(x_i, t_i) dt_i``, so the prediction is
     deterministic.  Returns the predicted trajectory (same times, starting at
-    the true start) and per-step error norms.
+    the true start) and an array of per-step error norms, inf on overflow.
     """
     if len(actual) < 2:
         raise ValidationError("need at least two states to compare")
@@ -288,14 +260,15 @@ def compare_trajectories(
     x = actual.states[:-1]
     ts = actual.times[:-1]
     dts = np.diff(actual.times)
-    preds = x + model.drift(x, ts) * dts[:, None]
-    errors = np.linalg.norm(preds - actual.states[1:], axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        preds = x + model.drift(x, ts) * dts[:, None]
+        errors = np.linalg.norm(preds - actual.states[1:], axis=1)
     predicted = EmbeddingTrajectory(
         states=np.vstack([actual.states[:1], preds]),
         times=actual.times.copy(),
         tokens=list(actual.tokens) if actual.tokens is not None else None,
     )
-    return predicted, [float(e) for e in errors]
+    return predicted, errors
 
 
 def drift_vector_field(
@@ -309,7 +282,8 @@ def drift_vector_field(
     Each grid point ``g`` (a regular lattice over the projected data range)
     is lifted to state space via ``mean + basis' g``, the fields evaluated
     there, and the drift projected back to the plane.  States with no plane
-    to fit raise :func:`pca_fit`'s :class:`EstimationError`.
+    to fit raise :func:`pca_fit`'s :class:`EstimationError`, and so does an
+    arrow or diffusion magnitude that is not finite.
     """
     if model.dim < 2:
         raise ValidationError("vector fields need state dimension >= 2")
@@ -327,31 +301,29 @@ def drift_vector_field(
     grid = np.column_stack([gx.ravel(), gy.ravel()])
 
     mu, sigma = _fields(model, pca.mean + grid @ pca.basis, t)
-    return VectorFieldGrid(
-        plane_basis=pca.basis,
-        plane_mean=pca.mean,
-        grid_points=grid,
-        drift_arrows=mu @ pca.basis.T,
-        drift_magnitudes=np.linalg.norm(mu, axis=1),
-        diffusion_magnitudes=np.linalg.norm(sigma, axis=1),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        arrows, diffusion = mu @ pca.basis.T, np.linalg.norm(sigma, axis=1)
+    if not (np.isfinite(arrows).all() and np.isfinite(diffusion).all()):
+        raise EstimationError("non-finite drift arrows or diffusion magnitudes on the plane")
+    return VectorFieldGrid(plane_basis=pca.basis, plane_mean=pca.mean, grid_points=grid,
+                           drift_arrows=arrows, diffusion_magnitudes=diffusion)
 
 
 def uncertainty_heatmap(
     model: SdeModel, trajectory: EmbeddingTrajectory
-) -> list[tuple[int, float, float]]:
-    """Diffusion norm (and its natural log) at every trajectory position."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Diffusion norms at the trajectory positions, in order, and their natural logs."""
     if trajectory.dim != model.dim:
         raise DimensionMismatchError(f"trajectory dim {trajectory.dim}, model dim {model.dim}")
     sigma = model.diffusion(trajectory.states, trajectory.times)
     mags = np.linalg.norm(sigma, axis=1)
     with np.errstate(divide="ignore"):  # zero-diffusion fixtures give -inf
         logs = np.log(mags)
-    return [(i, float(mags[i]), float(logs[i])) for i in range(len(trajectory))]
+    return mags, logs
 
 
-def word_importance(trajectory: EmbeddingTrajectory) -> list[tuple[str, float]]:
-    """Euclidean norm of each token's embedding, in trajectory order.
+def word_importance(trajectory: EmbeddingTrajectory) -> tuple[list[str], np.ndarray]:
+    """Token labels and the Euclidean norms of their embeddings, in trajectory order.
 
     Tokens without labels fall back to their position index, with a warning:
     unlike the refusals elsewhere in this module, the result is still usable.
@@ -361,5 +333,4 @@ def word_importance(trajectory: EmbeddingTrajectory) -> list[tuple[str, float]]:
         labels = [str(i) for i in range(len(trajectory))]
     else:
         labels = list(trajectory.tokens)
-    norms = np.linalg.norm(trajectory.states, axis=1)
-    return [(labels[i], float(norms[i])) for i in range(len(trajectory))]
+    return labels, np.linalg.norm(trajectory.states, axis=1)

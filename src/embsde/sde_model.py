@@ -341,25 +341,21 @@ def sample_linear_trajectories(
     n_steps: int,
     dt: float,
     seed: int,
-    x0_low: float = -2.0,
-    x0_high: float = 2.0,
 ) -> list[EmbeddingTrajectory]:
-    """Euler paths of a linear SDE with uniform random start states.
+    """Euler paths of a linear SDE with uniform random start states in ``(-2, 2]``.
 
     The bundled synthetic dataset: one draw of ``n_trajectories * dim``
-    uniforms off the base stream gives the start states (row ``i`` for path
-    ``i``, scaled to ``U(x0_low, x0_high)``); path ``i`` integrates with the
+    uniforms ``u`` in ``(0, 1]`` off the base stream gives the start states
+    ``-2 + 4u`` (row ``i`` for path ``i``); path ``i`` integrates with the
     stream ``seed XOR (i + 1)``, so it equals :func:`simulate` from its start
     state with that seed.
     """
     if n_trajectories < 1:
         raise ValidationError("need at least one trajectory")
-    if not (x0_high > x0_low):
-        raise ValidationError(f"empty start-state range [{x0_low}, {x0_high}]")
     model = linear_sde_model(spec, TimeEncoding(kind="none"))
     base = RngStream(seed)
     u = base.uniforms(n_trajectories * spec.dim).reshape(n_trajectories, spec.dim)
     seeds = _path_seeds(base.seed, np.arange(1, n_trajectories + 1))
-    states = _euler_maruyama(model, x0_low + (x0_high - x0_low) * u, seeds, n_steps, dt)
+    states = _euler_maruyama(model, -2.0 + 4.0 * u, seeds, n_steps, dt)
     times = dt * np.arange(n_steps + 1)
     return [EmbeddingTrajectory(states=s, times=times.copy()) for s in states]

@@ -20,7 +20,7 @@ from embsde.cli_io import (
     save_trajectories,
     toy_embed,
 )
-from embsde.sde_model import LinearSdeSpec, linear_sde_model
+from embsde.sde_model import LinearSdeSpec, TimeEncoding, linear_sde_model
 
 
 def _synth(tmp_path, name="data.jsonl", dim=1, n_traj=40, steps=20, seed=5):
@@ -336,6 +336,21 @@ class TestDiagnose:
         assert err.startswith("embsde: numerical error: ") and err.count("\n") == 1
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("command", [["diagnose", "--out-dir"], ["field", "--out"]])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_nonfinite_t_exits_1_writing_nothing(self, tmp_path, capsys, command, value):
+        # without time features the fields are finite at t = inf: only the check stops it
+        data = _synth(tmp_path, dim=2, n_traj=3, steps=4)
+        model = str(tmp_path / "untimed.json")
+        spec = LinearSdeSpec(a=-1.0, b=0.5, dim=2)
+        save_model(model, linear_sde_model(spec, TimeEncoding(kind="none")))
+        out = tmp_path / "out"
+        rc = main([command[0], "--model", model, "--data", data, command[1], str(out),
+                   f"--t={value}"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"embsde: error: --t must be finite, got {value}\n"
+        assert not out.exists()
+
     def test_oracle_on_dim2_data_exits_1_writing_nothing(self, tmp_path, capsys):
         data = _synth(tmp_path, dim=2, n_traj=3, steps=4)
         model = _linear_model(tmp_path, dim=2)
@@ -415,6 +430,17 @@ class TestFieldAndImportance:
         )
         assert not out.exists()
 
+    def test_overflowing_field_exits_2_writing_nothing(self, tmp_path, capsys):
+        # a drift of 1e308 x overflows on the plane: no warnings, no inf cells, no CSV
+        data = _synth(tmp_path, dim=2, n_traj=10, steps=8)
+        out = tmp_path / "f.csv"
+        rc = main(["field", "--model", _linear_model(tmp_path, a=1e308, dim=2),
+                   "--data", data, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("embsde: numerical error: non-finite") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_losses_without_history_exits_1(self, tmp_path, capsys):
         model = _linear_model(tmp_path)
         rc = main(["losses", "--model", model, "--out", str(tmp_path / "l.csv")])
@@ -445,11 +471,16 @@ class TestConsoleEntry:
         assert "frobnicate" in proc.stderr  # the CLI ran and rejected the subcommand
 
 
+def _readme_block(heading: str, language: str) -> str:
+    """The first ``language`` code block under ``heading`` in the README."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split(heading, 1)[1]
+    return section.split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
 def _readme_walkthrough() -> list[str]:
     """The shell lines of the README's CLI walkthrough, continuations joined."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    section = readme.split("## CLI walkthrough", 1)[1]
-    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    block = _readme_block("## CLI walkthrough", "sh")
     lines = block.replace("\\\n", " ").splitlines()
     return [line.strip() for line in lines if line.strip() and not line.lstrip().startswith("#")]
 
@@ -468,3 +499,14 @@ class TestReadmeWalkthrough:
                 subprocess.run(line, shell=True, check=True)
         capsys.readouterr()
         assert ran == ["synth-ou", "train", "train", "losses", "diagnose", "simulate", "answer"]
+
+
+class TestReadmeQuickStart:
+    def test_runs_as_written_and_prints_a_finite_drift(self, capsys):
+        code = _readme_block("## Library quick start", "python")
+        exec(compile(code, "README.md", "exec"), {"__name__": "quick_start"})
+        lines = capsys.readouterr().out.splitlines()
+        # the first print is the drift at five states, one row per line
+        drift = np.array(" ".join(lines[:5]).replace("[", " ").replace("]", " ").split(),
+                         dtype=float)
+        assert drift.shape == (5,) and np.all(np.isfinite(drift))

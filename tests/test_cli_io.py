@@ -532,18 +532,18 @@ def _empty_moments():
 
 
 def _empty_grid():
-    return VectorFieldGrid(np.eye(2), np.zeros(2), np.zeros((0, 2)), np.zeros((0, 2)),
-                           np.zeros(0), np.zeros(0))
+    return VectorFieldGrid(np.eye(2), np.zeros(2), np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0))
 
 
 class TestCsvWriters:
     # the header of each file, as the README's CSV table freezes it
     @pytest.mark.parametrize("write, args, header", [
         (write_losses_csv, ([],), "epoch,split,total,drift,diffusion"),
-        (write_comparison_csv, (np.array([0.0]), []), "step,t,error"),
+        (write_comparison_csv, (np.array([0.0]), np.zeros(0)), "step,t,error"),
         (write_vector_field_csv, (_empty_grid(),), "gx,gy,ux,uy,diffusion_mag"),
-        (write_heatmap_csv, ([], None), "position,token,magnitude,log_magnitude"),
-        (write_importance_csv, ([],), "position,token,l2_norm"),
+        (write_heatmap_csv, (np.zeros(0), np.zeros(0), None),
+         "position,token,magnitude,log_magnitude"),
+        (write_importance_csv, ([], np.zeros(0)), "position,token,l2_norm"),
         (write_moments_csv, (_empty_moments(),), "t,mean_ode,var_ode,mean_mc,var_mc"),
     ], ids=["losses", "comparison", "vector_field", "heatmap", "importance", "moments"])
     def test_empty_input_writes_only_the_header(self, tmp_path, write, args, header):
@@ -569,7 +569,7 @@ class TestCsvWriters:
 
     def test_comparison_rows_align_steps_with_times(self, tmp_path):
         path = str(tmp_path / "cmp.csv")
-        write_comparison_csv(path, np.array([0.0, 0.5, 1.0]), [0.25, 0.0625])
+        write_comparison_csv(path, np.array([0.0, 0.5, 1.0]), np.array([0.25, 0.0625]))
         lines = open(path).read().splitlines()
         assert lines[0] == "step,t,error"
         assert lines[1] == "1,0.5,0.25"
@@ -581,7 +581,6 @@ class TestCsvWriters:
             plane_mean=np.zeros(2),
             grid_points=np.array([[0.0, 1.0], [2.0, 3.0]]),
             drift_arrows=np.array([[0.5, -0.5], [0.25, -0.25]]),
-            drift_magnitudes=np.array([1.0, 1.0]),
             diffusion_magnitudes=np.array([2.0, 4.0]),
         )
         path = str(tmp_path / "field.csv")
@@ -592,18 +591,18 @@ class TestCsvWriters:
         assert lines[2] == "2.0,3.0,0.25,-0.25,4.0"
 
     def test_heatmap_uses_token_labels_or_positions(self, tmp_path):
-        entries = [(0, 2.0, math.log(2.0)), (1, 1.0, 0.0)]
+        mags, logs = np.array([2.0, 1.0]), np.array([math.log(2.0), 0.0])
         path = str(tmp_path / "heat.csv")
-        write_heatmap_csv(path, entries, ["hello", "world"])
+        write_heatmap_csv(path, mags, logs, ["hello", "world"])
         lines = open(path).read().splitlines()
         assert lines[0] == "position,token,magnitude,log_magnitude"
         assert lines[1] == f"0,hello,2.0,{math.log(2.0)!r}"
-        write_heatmap_csv(path, entries, None)
+        write_heatmap_csv(path, mags, logs, None)
         assert open(path).read().splitlines()[2] == "1,1,1.0,0.0"
 
     def test_importance_rows(self, tmp_path):
         path = str(tmp_path / "imp.csv")
-        write_importance_csv(path, [("cat", 5.0), ("dog", 0.5)])
+        write_importance_csv(path, ["cat", "dog"], np.array([5.0, 0.5]))
         lines = open(path).read().splitlines()
         assert lines[0] == "position,token,l2_norm"
         assert lines[1] == "0,cat,5.0"
@@ -637,7 +636,7 @@ class TestCsvWriters:
 
     def test_atomic_writes_leave_no_temp_files(self, tmp_path):
         path = str(tmp_path / "out.csv")
-        write_importance_csv(path, [("a", 1.0)])
-        write_importance_csv(path, [("b", 2.0)])
+        write_importance_csv(path, ["a"], np.array([1.0]))
+        write_importance_csv(path, ["b"], np.array([2.0]))
         assert sorted(os.listdir(tmp_path)) == ["out.csv"]
         assert "b,2.0" in open(path).read()

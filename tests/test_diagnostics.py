@@ -16,7 +16,7 @@ from embsde.diagnostics import (
     word_importance,
 )
 from embsde.errors import DimensionMismatchError, EstimationError, ValidationError
-from embsde.mlp import glorot_init
+from embsde.mlp import MlpNetwork, glorot_init
 from embsde.numeric_core import RngStream
 from embsde.sde_model import (
     EmbeddingTrajectory,
@@ -83,13 +83,6 @@ class TestEstimateRegularity:
         est_large = estimate_regularity(model, np.vstack([small, large]), 0.0)
         assert est_large.lipschitz_k >= est_small.lipschitz_k
         assert est_large.growth_c >= est_small.growth_c
-
-    def test_state_region(self):
-        model = fixture_model(a=-1.0, b=0.1, dim=2)
-        probes = np.array([[0.0, -3.0], [2.0, 1.0], [-1.0, 0.5]])
-        est = estimate_regularity(model, probes, 0.0)
-        np.testing.assert_array_equal(est.state_region[0], [-1.0, -3.0])
-        np.testing.assert_array_equal(est.state_region[1], [2.0, 1.0])
 
     def test_errors(self):
         model = fixture_model(a=-1.0, b=0.1)
@@ -168,26 +161,14 @@ class TestLyapunovCheck:
         assert abs(report.max_generator + 0.75) < 1e-12
         assert report.stable_flag
 
-    def test_custom_p_matrix(self):
-        model = fixture_model(a=-1.0, b=0.0, dim=2)
-        p = np.diag([2.0, 1.0])
-        report = lyapunov_check(model, np.array([[1.0, 1.0]]), t=0.0, p_matrix=p)
-        assert abs(report.generator_values[0] + 6.0) < 1e-12
-
     def test_overflowing_generator_refused(self):
         model = fixture_model(a=1e300, b=0.5)
         with pytest.raises(EstimationError, match="non-finite"):
             lyapunov_check(model, np.array([[1e10], [-3.0]]), t=0.0)
 
-    def test_p_validation(self):
-        model = fixture_model(a=-1.0, b=0.0, dim=2)
-        probes = np.ones((1, 2))
-        with pytest.raises(ValidationError):
-            lyapunov_check(model, probes, 0.0, p_matrix=np.array([[1.0, 0.5], [0.0, 1.0]]))
-        with pytest.raises(ValidationError):
-            lyapunov_check(model, probes, 0.0, p_matrix=np.diag([1.0, -0.1]))
+    def test_probe_dim_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            lyapunov_check(model, probes, 0.0, p_matrix=np.eye(3))
+            lyapunov_check(fixture_model(a=-1.0, b=0.0, dim=2), np.ones((1, 3)), 0.0)
 
 
 class TestMomentOdeSolve:
@@ -307,14 +288,14 @@ class TestCompareTrajectories:
         model = fixture_model(a=-0.6, b=0.0, dim=2)
         traj = simulate(model, np.array([1.0, -1.0]), n_steps=15, dt=0.1, seed=0)
         predicted, errors = compare_trajectories(traj, model)
-        assert max(errors) < 1e-9
+        assert errors.shape == (15,) and errors.max() < 1e-9
         np.testing.assert_array_equal(predicted.times, traj.times)
 
     def test_zero_drift_unit_increments(self):
         model = fixture_model(a=0.0, b=0.0)
         traj = EmbeddingTrajectory(np.arange(5.0)[:, None], np.arange(5.0))
         _, errors = compare_trajectories(traj, model)
-        assert errors == [1.0] * 4
+        np.testing.assert_array_equal(errors, [1.0] * 4)
 
     def test_prediction_starts_at_actual(self):
         model = fixture_model(a=-1.0, b=0.0, dim=2)
@@ -326,10 +307,8 @@ class TestCompareTrajectories:
         spec, model, _ = ou_trained
         held_out = sample_linear_trajectories(spec, 20, 30, 0.05, seed=909)
         baseline = fixture_model(a=0.0, b=spec.b)
-        model_errs, base_errs = [], []
-        for traj in held_out:
-            model_errs += compare_trajectories(traj, model)[1]
-            base_errs += compare_trajectories(traj, baseline)[1]
+        model_errs = np.concatenate([compare_trajectories(traj, model)[1] for traj in held_out])
+        base_errs = np.concatenate([compare_trajectories(traj, baseline)[1] for traj in held_out])
         assert np.mean(model_errs) < np.mean(base_errs)
 
     def test_too_short_rejected(self):
@@ -337,6 +316,13 @@ class TestCompareTrajectories:
             compare_trajectories(
                 EmbeddingTrajectory([[1.0]], [0.0]), fixture_model(a=0.0, b=0.0)
             )
+
+    def test_overflowing_prediction_gives_inf_without_warnings(self):
+        # the prediction 1 + 1e308 * 0.5 is finite, its squared norm is not: no RuntimeWarning
+        model = fixture_model(a=1e308, b=0.5)
+        traj = EmbeddingTrajectory([[1.0], [0.0], [1.0]], [0.0, 0.5, 1.0])
+        _, errors = compare_trajectories(traj, model)
+        assert errors[0] == math.inf
 
 
 def cross_data(scale_x=2.0, scale_y=1.0):
@@ -371,18 +357,6 @@ class TestDriftVectorField:
         np.testing.assert_allclose(grid.grid_points[1], [0.0, -1.0], atol=1e-12)
         np.testing.assert_allclose(grid.grid_points[-1], [2.0, 1.0], atol=1e-12)
 
-    def test_full_norms_exceed_plane_norms_off_plane(self):
-        # drift has components outside the plane in d=3; recorded norms differ
-        model = fixture_model(a=-1.0, b=0.0, dim=3)
-        states = np.array(
-            [[2.0, 0.0, 0.5], [-2.0, 0.0, 0.5], [0.0, 1.0, 0.5], [0.0, -1.0, 0.5]]
-        )
-        trajs = [EmbeddingTrajectory(states, np.arange(4.0))]
-        grid = drift_vector_field(model, trajs, 3, 0.0)
-        plane_norms = np.linalg.norm(grid.drift_arrows, axis=1)
-        assert np.all(grid.drift_magnitudes >= plane_norms - 1e-12)
-        assert np.any(grid.drift_magnitudes > plane_norms + 1e-6)
-
     def test_errors(self):
         model2 = fixture_model(a=-1.0, b=0.0, dim=2)
         with pytest.raises(ValidationError):
@@ -393,31 +367,44 @@ class TestDriftVectorField:
         with pytest.raises(EstimationError):
             drift_vector_field(model2, degenerate, 3, 0.0)
 
+    def test_nonfinite_arrows_refused(self):
+        # 1e308 x overflows at the grid's corners: refused, with no RuntimeWarning
+        with pytest.raises(EstimationError, match="non-finite"):
+            drift_vector_field(fixture_model(a=1e308, b=0.5, dim=2), cross_data(), 3, 0.0)
+
+    def test_nonfinite_diffusion_magnitudes_refused(self):
+        # every sigma component is 1e200, but the squares in its norm overflow
+        linear = fixture_model(a=-1.0, b=0.0, dim=2)
+        huge = MlpNetwork([2, 2], [np.zeros((2, 2))], [np.full(2, 1e200)])
+        model = SdeModel(2, linear.drift_net, huge, NO_TIME)
+        with pytest.raises(EstimationError, match="non-finite"):
+            drift_vector_field(model, cross_data(), 3, 0.0)
+
 
 class TestUncertaintyHeatmap:
     def test_unit_sigma_norm(self):
         model = fixture_model(a=0.0, b=1.0, dim=4)
         traj = EmbeddingTrajectory(np.zeros((3, 4)), np.arange(3.0))
-        rows = uncertainty_heatmap(model, traj)
-        assert [r[0] for r in rows] == [0, 1, 2]
-        assert all(abs(r[1] - 2.0) < 1e-12 for r in rows)
+        mags, _ = uncertainty_heatmap(model, traj)
+        assert mags.shape == (3,)
+        assert np.all(np.abs(mags - 2.0) < 1e-12)
 
     def test_log_magnitude(self):
         model = fixture_model(a=0.0, b=math.e, dim=1)
-        rows = uncertainty_heatmap(model, EmbeddingTrajectory([[0.0]], [0.0]))
-        assert abs(rows[0][2] - 1.0) < 1e-12
+        _, logs = uncertainty_heatmap(model, EmbeddingTrajectory([[0.0]], [0.0]))
+        assert abs(logs[0] - 1.0) < 1e-12
 
     def test_trained_ou_magnitudes(self, ou_trained):
         spec, model, _ = ou_trained
         traj = sample_linear_trajectories(spec, 1, 30, 0.05, seed=777)[0]
-        rows = uncertainty_heatmap(model, traj)
+        mags, _ = uncertainty_heatmap(model, traj)
         target = spec.b  # d = 1, so the norm is sigma itself
-        assert all(abs(mag - target) / target < 0.25 for _, mag, _ in rows)
+        assert mags.shape == (31,) and np.all(np.abs(mags - target) / target < 0.25)
 
     def test_zero_sigma_gives_neg_inf_log(self):
         model = fixture_model(a=0.0, b=0.0)
-        rows = uncertainty_heatmap(model, EmbeddingTrajectory([[1.0]], [0.0]))
-        assert rows[0][1] == 0.0 and rows[0][2] == -math.inf
+        mags, logs = uncertainty_heatmap(model, EmbeddingTrajectory([[1.0]], [0.0]))
+        assert mags[0] == 0.0 and logs[0] == -math.inf
 
 
 class TestWordImportance:
@@ -425,7 +412,9 @@ class TestWordImportance:
         traj = EmbeddingTrajectory(
             [[0.0, 0.0], [3.0, 4.0]], [0.0, 1.0], tokens=["zero", "pyth"]
         )
-        assert word_importance(traj) == [("zero", 0.0), ("pyth", 5.0)]
+        labels, norms = word_importance(traj)
+        assert labels == ["zero", "pyth"]
+        np.testing.assert_array_equal(norms, [0.0, 5.0])
 
     def test_rotation_invariance(self):
         theta = 0.7
@@ -435,11 +424,14 @@ class TestWordImportance:
         states = RngStream(2).normals(10).reshape(5, 2)
         base = EmbeddingTrajectory(states, np.arange(5.0), tokens=list("abcde"))
         spun = EmbeddingTrajectory(states @ rot.T, np.arange(5.0), tokens=list("abcde"))
-        for (_, n1), (_, n2) in zip(word_importance(base), word_importance(spun)):
-            assert abs(n1 - n2) < 1e-12
+        _, base_norms = word_importance(base)
+        _, spun_norms = word_importance(spun)
+        assert base_norms.shape == (5,)
+        assert np.all(np.abs(base_norms - spun_norms) < 1e-12)
 
     def test_missing_labels_warns(self):
         traj = EmbeddingTrajectory([[1.0], [2.0]], [0.0, 1.0])
         with pytest.warns(UserWarning):
-            rows = word_importance(traj)
-        assert [r[0] for r in rows] == ["0", "1"]
+            labels, norms = word_importance(traj)
+        assert labels == ["0", "1"]
+        np.testing.assert_array_equal(norms, [1.0, 2.0])

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from embsde.diagnostics import lyapunov_check
 from embsde.errors import DimensionMismatchError, EstimationError, ValidationError
 from embsde.numeric_core import (
     PcaResult,
@@ -15,7 +14,6 @@ from embsde.numeric_core import (
     pca_fit,
     stream_words,
 )
-from embsde.sde_model import LinearSdeSpec, linear_sde_model
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +280,6 @@ class TestJacobiEigh:
     def test_rejects_nonsquare(self):
         with pytest.raises(DimensionMismatchError):
             pca_fit(np.zeros((2, 3, 4)), 1)
-        model = linear_sde_model(LinearSdeSpec(a=-1.0, b=0.5, dim=2))
-        with pytest.raises(DimensionMismatchError):
-            lyapunov_check(model, np.ones((1, 2)), 0.0, p_matrix=np.zeros((2, 3)))
 
     def test_one_by_one(self):
         res = pca_fit(np.array([[1.0], [3.0], [2.0]]), 1)

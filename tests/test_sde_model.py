@@ -454,7 +454,7 @@ class TestSampleLinearTrajectories:
 
     def test_start_states_in_range(self):
         trajs = sample_linear_trajectories(
-            LinearSdeSpec(a=0.0, b=0.1, dim=4), 20, 1, 1.0, seed=0, x0_low=-2.0, x0_high=2.0
+            LinearSdeSpec(a=0.0, b=0.1, dim=4), 20, 1, 1.0, seed=0
         )
         starts = np.stack([t.states[0] for t in trajs])
         assert np.all(starts > -2.0) and np.all(starts <= 2.0)
