@@ -195,6 +195,8 @@ def cmd_answer(args) -> int:
 
 def cmd_diagnose(args) -> int:
     _check_probe_time(args.t)
+    if args.probes < 2:
+        raise ValidationError(f"--probes must be at least 2, got {args.probes}")
     model = load_model(args.model).model
     trajectories = _load_nonempty(args.data, " to diagnose against")
     reference = None if args.oracle is None else _parse_oracle(args.oracle)

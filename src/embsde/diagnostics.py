@@ -1,7 +1,8 @@
 """Verification and analysis battery for fitted models.
 
-Everything here treats the model as a black-box pair of fields and asks
-whether it behaves like a well-posed, stable SDE:
+Everything here treats the model as a black-box pair of fields, read through
+``SdeModel.fields`` (its dimension check, and overflow as inf rather than a
+warning), and asks whether it behaves like a well-posed, stable SDE:
 
 * regularity: empirical Lipschitz and linear-growth constants over probe
   states (lower bounds on the true constants, never certificates);
@@ -96,13 +97,6 @@ class VectorFieldGrid:
     diffusion_magnitudes: np.ndarray
 
 
-def _fields(model: SdeModel, x: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
-    """Both fields at the rows of ``x`` from one net input; overflow gives inf, not warnings."""
-    inp = model._net_input(x, model.time_encoding.encode_batch(t))
-    with np.errstate(over="ignore", invalid="ignore"):
-        return model.drift_net.forward(inp), model.diffusion_net.forward(inp)
-
-
 def estimate_regularity(model: SdeModel, probe_states, t: float) -> RegularityEstimate:
     """Max regularity ratios over all probe pairs at a fixed time.
 
@@ -114,10 +108,8 @@ def estimate_regularity(model: SdeModel, probe_states, t: float) -> RegularityEs
     probes = np.atleast_2d(np.asarray(probe_states, dtype=np.float64))
     if probes.shape[0] < 2:
         raise ValidationError("need at least two probe states")
-    if probes.shape[1] != model.dim:
-        raise DimensionMismatchError(f"probe dim {probes.shape[1]}, model dim {model.dim}")
 
-    mu, sigma = _fields(model, probes, t)
+    mu, sigma = model.fields(probes, t)
     iu, ju = np.triu_indices(probes.shape[0], k=1)
     block = max(1, _PAIR_BLOCK // model.dim)
     lipschitz_k, n_pairs = -np.inf, 0
@@ -150,9 +142,7 @@ def lyapunov_check(model: SdeModel, probe_states, t: float) -> LyapunovReport:
     A non-finite maximum is refused.
     """
     probes = np.atleast_2d(np.asarray(probe_states, dtype=np.float64))
-    if probes.shape[1] != model.dim:
-        raise DimensionMismatchError(f"probe dim {probes.shape[1]}, model dim {model.dim}")
-    mu, sigma = _fields(model, probes, t)
+    mu, sigma = model.fields(probes, t)
     with np.errstate(over="ignore", invalid="ignore"):
         values = 2.0 * np.sum(probes * mu, axis=1) + np.sum(sigma**2, axis=1)
     max_gen = float(np.max(values))
@@ -255,13 +245,10 @@ def compare_trajectories(
     """
     if len(actual) < 2:
         raise ValidationError("need at least two states to compare")
-    if actual.dim != model.dim:
-        raise DimensionMismatchError(f"trajectory dim {actual.dim}, model dim {model.dim}")
     x = actual.states[:-1]
-    ts = actual.times[:-1]
-    dts = np.diff(actual.times)
+    mu, _ = model.fields(x, actual.times[:-1])
     with np.errstate(over="ignore", invalid="ignore"):
-        preds = x + model.drift(x, ts) * dts[:, None]
+        preds = x + mu * np.diff(actual.times)[:, None]
         errors = np.linalg.norm(preds - actual.states[1:], axis=1)
     predicted = EmbeddingTrajectory(
         states=np.vstack([actual.states[:1], preds]),
@@ -300,7 +287,7 @@ def drift_vector_field(
     gx, gy = np.meshgrid(axes[0], axes[1])  # rows ordered by gy, then gx
     grid = np.column_stack([gx.ravel(), gy.ravel()])
 
-    mu, sigma = _fields(model, pca.mean + grid @ pca.basis, t)
+    mu, sigma = model.fields(pca.mean + grid @ pca.basis, t)
     with np.errstate(over="ignore", invalid="ignore"):
         arrows, diffusion = mu @ pca.basis.T, np.linalg.norm(sigma, axis=1)
     if not (np.isfinite(arrows).all() and np.isfinite(diffusion).all()):
@@ -313,13 +300,11 @@ def uncertainty_heatmap(
     model: SdeModel, trajectory: EmbeddingTrajectory
 ) -> tuple[np.ndarray, np.ndarray]:
     """Diffusion norms at the trajectory positions, in order, and their natural logs."""
-    if trajectory.dim != model.dim:
-        raise DimensionMismatchError(f"trajectory dim {trajectory.dim}, model dim {model.dim}")
-    sigma = model.diffusion(trajectory.states, trajectory.times)
-    mags = np.linalg.norm(sigma, axis=1)
-    with np.errstate(divide="ignore"):  # zero-diffusion fixtures give -inf
-        logs = np.log(mags)
-    return mags, logs
+    _, sigma = model.fields(trajectory.states, trajectory.times)
+    # an overflowing norm is inf; zero-diffusion fixtures log to -inf
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        mags = np.linalg.norm(sigma, axis=1)
+        return mags, np.log(mags)
 
 
 def word_importance(trajectory: EmbeddingTrajectory) -> tuple[list[str], np.ndarray]:

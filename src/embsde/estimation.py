@@ -79,16 +79,16 @@ class TrainingConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ValidationError("epochs and batch_size must be positive")
-        if not (self.learning_rate > 0.0):
-            raise ValidationError("learning_rate must be positive")
-        if self.drift_weight < 0.0 or self.diffusion_weight < 0.0:
-            raise ValidationError("loss weights must be nonnegative")
+        if not (0.0 < self.learning_rate < math.inf):
+            raise ValidationError("learning_rate must be positive and finite")
+        if not (0.0 <= self.drift_weight < math.inf and 0.0 <= self.diffusion_weight < math.inf):
+            raise ValidationError("loss weights must be finite and nonnegative")
         if self.drift_weight + self.diffusion_weight <= 0.0:
             raise ValidationError("at least one loss weight must be positive")
         if not (0.0 <= self.validation_fraction < 1.0):
             raise ValidationError("validation_fraction must lie in [0, 1)")
-        if self.grad_clip is not None and not (self.grad_clip > 0.0):
-            raise ValidationError("grad_clip must be positive when set")
+        if self.grad_clip is not None and not (0.0 < self.grad_clip < math.inf):
+            raise ValidationError("grad_clip must be positive and finite when set")
 
 
 @dataclass(frozen=True)
@@ -168,20 +168,8 @@ def transition_losses(model: SdeModel, transitions: Transitions) -> tuple[float,
     """
     if len(transitions) == 0:
         raise ValidationError("no transitions to evaluate")
-    return _split_losses(model, transitions, _split_input(model, transitions))
-
-
-def _split_input(model: SdeModel, transitions: Transitions) -> np.ndarray:
-    """The net input rows of every transition, shared by both nets."""
-    return model._net_input(transitions.x, model.time_encoding.encode_batch(transitions.t))
-
-
-def _split_losses(model: SdeModel, transitions: Transitions, inputs: np.ndarray):
-    """``(drift, diffusion)`` losses over ``transitions`` from their net input rows."""
-    return _loss_kernel(
-        model.drift_net.forward(inputs), model.diffusion_net.forward(inputs),
-        transitions.x, transitions.x_next, transitions.dt,
-    )
+    mu, sigma = model.fields(transitions.x, transitions.t)
+    return _loss_kernel(mu, sigma, transitions.x, transitions.x_next, transitions.dt)
 
 
 def split_by_trajectory(
@@ -232,10 +220,10 @@ def fit(
     train = extract_transitions(train_trajs)
     if len(train) == 0:
         raise ValidationError("no transitions to train on (all trajectories have length 1?)")
-    feats_all = _split_input(model, train)
+    feats_all = model._net_input(train.x, encoding.encode_batch(train.t))
     splits = [("train", train, feats_all)]
     if val_trajs and len(val := extract_transitions(val_trajs)):
-        splits.append(("validation", val, _split_input(model, val)))
+        splits.append(("validation", val, model._net_input(val.x, encoding.encode_batch(val.t))))
 
     records: list[LossRecord] = []
     last_good = 0
@@ -267,7 +255,7 @@ def fit(
 
             epoch_records = []
             for split, data, inputs in splits:
-                l_mu, l_sigma = _split_losses(model, data, inputs)
+                l_mu, l_sigma = _loss_kernel(*model._fields(inputs), data.x, data.x_next, data.dt)
                 total = config.drift_weight * l_mu + config.diffusion_weight * l_sigma
                 epoch_records.append(LossRecord(epoch, split, total, l_mu, l_sigma))
         if not all(math.isfinite(r.total) for r in epoch_records):

@@ -5,11 +5,13 @@ A model is the pair of networks in
     dX(t) = mu(X(t), t) dt + sigma(X(t), t) (.) dW(t)
 
 with diagonal diffusion: ``sigma`` returns a d-vector multiplied
-componentwise into the Wiener increment.  Integration is explicit
-Euler-Maruyama; each path owns a noise stream derived from the caller's seed
-XOR the path index, which makes single-path and ensemble simulation produce
-the same numbers and lets paths be generated independently.  Noise is drawn in
-blocks of steps (at most 2**16 normals) at addresses fixed by path and step.
+componentwise into the Wiener increment.  ``SdeModel.fields`` evaluates both
+from one net input, checks the state dimension, and lets overflow give inf or
+NaN, never a warning.  Integration is explicit Euler-Maruyama; each path owns a
+noise stream derived from the caller's seed XOR the path index, which makes
+single-path and ensemble simulation produce the same numbers and lets paths be
+generated independently.  Noise is drawn in blocks of steps (at most 2**16
+normals) at addresses fixed by path and step.
 
 Also here: the question-to-answer generation procedure (start from the mean
 of the question embeddings, integrate forward one token per step), and the
@@ -170,15 +172,26 @@ class SdeModel:
         out[:, self.dim :] = features
         return out
 
+    def _fields(self, inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Both nets on the same input rows; overflow gives inf or NaN, not warnings."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.drift_net.forward(inputs), self.diffusion_net.forward(inputs)
+
+    def fields(self, x, t) -> tuple[np.ndarray, np.ndarray]:
+        """Drift and diffusion at ``(x, t)`` from one net input; batched when ``x`` is ``(n, d)``.
+
+        ``t`` is one time or one per row.  Overflow gives inf or NaN, not warnings.
+        """
+        mu, sigma = self._fields(self._net_input(x, self.time_encoding.encode_batch(t)))
+        return (mu[0], sigma[0]) if np.ndim(x) == 1 else (mu, sigma)
+
     def drift(self, x, t) -> np.ndarray:
-        """Drift field at ``(x, t)``; batched when ``x`` is ``(n, d)``."""
-        out = self.drift_net.forward(self._net_input(x, self.time_encoding.encode_batch(t)))
-        return out[0] if np.ndim(x) == 1 else out
+        """The drift half of :meth:`fields`."""
+        return self.fields(x, t)[0]
 
     def diffusion(self, x, t) -> np.ndarray:
-        """Diffusion magnitudes at ``(x, t)``; positive for softplus heads."""
-        out = self.diffusion_net.forward(self._net_input(x, self.time_encoding.encode_batch(t)))
-        return out[0] if np.ndim(x) == 1 else out
+        """The diffusion half of :meth:`fields`; positive for softplus heads."""
+        return self.fields(x, t)[1]
 
 
 def simulate(
@@ -241,8 +254,8 @@ def _euler_maruyama(
     """
     if n_steps < 0:
         raise ValidationError(f"bad request n_steps={n_steps}")
-    if not (dt > 0.0):
-        raise ValidationError(f"dt must be positive, got {dt}")
+    if not (0.0 < dt < math.inf):
+        raise ValidationError(f"dt must be positive and finite, got {dt}")
     n, d = x0.shape
     out = np.empty((n, n_steps + 1, d))
     out[:, 0, :] = x0
@@ -306,8 +319,8 @@ class LinearSdeSpec:
     dim: int = 1
 
     def __post_init__(self):
-        if self.b < 0.0:
-            raise ValidationError(f"b must be nonnegative, got {self.b}")
+        if not (math.isfinite(self.a) and 0.0 <= self.b < math.inf):
+            raise ValidationError(f"need finite a and finite b >= 0, got a={self.a}, b={self.b}")
         if self.dim < 1:
             raise ValidationError(f"dim must be positive, got {self.dim}")
 

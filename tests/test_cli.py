@@ -1,5 +1,8 @@
 """End-to-end CLI tests: exit codes, artifacts, determinism, seed override."""
 
+import argparse
+import hashlib
+import importlib.util
 import json
 import os
 import shlex
@@ -12,7 +15,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import embsde
-from embsde.cli import main
+from embsde.cli import build_parser, main
 from embsde.cli_io import (
     load_model,
     load_trajectories,
@@ -363,6 +366,82 @@ class TestDiagnose:
         )
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("value", ["-5", "0", "1"])
+    def test_too_few_probes_exit_1_before_loading(self, tmp_path, capsys, value):
+        # no model or data file exists: the count is refused before either is read
+        out = tmp_path / "d"
+        rc = main(["diagnose", "--model", str(tmp_path / "absent.json"), "--data",
+                   str(tmp_path / "absent.jsonl"), "--out-dir", str(out), "--probes", value])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"embsde: error: --probes must be at least 2, got {value}\n"
+        assert not out.exists()
+
+
+def _numeric_flag_cases():
+    """``(command, flag, value)``: every float flag at nan and +-inf, every int flag but
+    ``--seed`` at -1, read from the parser so that a flag added later is swept too."""
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    cases = [("diagnose", "--oracle", "nan,0.5")]
+    for command, sub in subparsers.choices.items():
+        for action in sub._actions:
+            flag = action.option_strings[-1] if action.option_strings else None
+            if action.type is float:
+                cases += [(command, flag, value) for value in ("nan", "inf", "-inf")]
+            elif action.type is int and flag != "--seed":
+                cases.append((command, flag, "-1"))
+    return cases
+
+
+@pytest.fixture(scope="module")
+def sweep_inputs(tmp_path_factory):
+    """A valid invocation of each subcommand with numeric flags, on inputs made once."""
+    d = tmp_path_factory.mktemp("inputs")
+    for dim in (1, 2):
+        assert main(["synth-ou", "--out", str(d / f"data{dim}.jsonl"), "--dim", str(dim),
+                     "--n-traj", "4", "--steps", "5", "--seed", "3"]) == 0
+        save_model(str(d / f"model{dim}.json"), linear_sde_model(LinearSdeSpec(-1.0, 0.5, dim)))
+    (d / "start.json").write_text("[0.5]")
+    m1, d1 = str(d / "model1.json"), str(d / "data1.jsonl")
+    return d, {
+        "synth-ou": ["synth-ou", "--out", "out.jsonl", "--n-traj", "3", "--steps", "4"],
+        "train": ["train", "--data", d1, "--out", "out.json", "--epochs", "1"],
+        "simulate": ["simulate", "--model", m1, "--init-vec", str(d / "start.json"),
+                     "--steps", "3", "--out", "out.jsonl"],
+        "answer": ["answer", "--model", m1, "--question", "a b", "--steps", "3", "--out",
+                   "out.jsonl"],
+        "diagnose": ["diagnose", "--model", m1, "--data", d1, "--out-dir", "out",
+                     "--oracle=-1,0.5", "--paths", "100"],
+        "field": ["field", "--model", str(d / "model2.json"), "--data", str(d / "data2.jsonl"),
+                  "--res", "3", "--out", "out.csv"],
+    }
+
+
+class TestNumericFlagSweep:
+    @pytest.mark.parametrize("command", sorted({case[0] for case in _numeric_flag_cases()}))
+    def test_valid_invocation_exits_0(self, sweep_inputs, tmp_path, monkeypatch, capsys, command):
+        # the sweep below refuses each flag, not a broken invocation
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("SDE_TRAJ_SEED", raising=False)
+        assert main(sweep_inputs[1][command]) == 0
+        assert capsys.readouterr().err == ""
+        assert [name.split(".")[0] for name in os.listdir(tmp_path)] == ["out"]
+
+    @pytest.mark.parametrize("command, flag, value", _numeric_flag_cases())
+    def test_bad_value_exits_1_in_one_line_writing_nothing(
+        self, sweep_inputs, tmp_path, monkeypatch, capsys, command, flag, value
+    ):
+        inputs, base = sweep_inputs
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("SDE_TRAJ_SEED", raising=False)
+        before = sorted(inputs.iterdir())
+        assert main([*base[command], f"{flag}={value}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("embsde: error: ") and captured.err.count("\n") == 1
+        assert os.listdir(tmp_path) == [] and sorted(inputs.iterdir()) == before
+
 
 class TestFieldAndImportance:
     def test_field_writes_grid(self, tmp_path):
@@ -478,19 +557,13 @@ def _readme_block(heading: str, language: str) -> str:
     return section.split(f"```{language}\n", 1)[1].split("```", 1)[0]
 
 
-def _readme_walkthrough() -> list[str]:
-    """The shell lines of the README's CLI walkthrough, continuations joined."""
-    block = _readme_block("## CLI walkthrough", "sh")
-    lines = block.replace("\\\n", " ").splitlines()
-    return [line.strip() for line in lines if line.strip() and not line.lstrip().startswith("#")]
-
-
 class TestReadmeWalkthrough:
     def test_every_command_exits_0(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         monkeypatch.delenv("SDE_TRAJ_SEED", raising=False)
         ran = []
-        for line in _readme_walkthrough():
+        # parsed by the equivalence tool, which replays the same lines
+        for line in _equivalence_tool().readme_walkthrough():
             if line.startswith("embsde "):
                 argv = shlex.split(line, comments=True)[1:]
                 assert main(argv) == 0, line
@@ -510,3 +583,24 @@ class TestReadmeQuickStart:
         drift = np.array(" ".join(lines[:5]).replace("[", " ").replace("]", " ").split(),
                          dtype=float)
         assert drift.shape == (5,) and np.all(np.isfinite(drift))
+
+
+def _equivalence_tool():
+    path = Path(__file__).resolve().parents[1] / "tools" / "equivalence.py"
+    spec = importlib.util.spec_from_file_location("equivalence", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestEquivalenceManifest:
+    def test_d3_manifest_repeats_and_every_command_succeeds(self):
+        # no hash is pinned: outputs are tied to one machine and BLAS build
+        tool = _equivalence_tool()
+        first = tool.manifest(["d3"])
+        assert tool.manifest(["d3"]) == first
+        ok = hashlib.sha256(b"0").hexdigest()
+        assert all(first[f"d3/{step}/exit"] == ok for step, _ in tool.D3)
+        files = {key.split("/file:")[1] for key in first if "/file:" in key}
+        assert {"model.json", "diag64/diagnostics.json", "diag256/heatmap.csv", "field.csv",
+                "importance-tokens.csv", "answer.jsonl", "path.jsonl"} <= files

@@ -406,6 +406,26 @@ class TestUncertaintyHeatmap:
         mags, logs = uncertainty_heatmap(model, EmbeddingTrajectory([[1.0]], [0.0]))
         assert mags[0] == 0.0 and logs[0] == -math.inf
 
+    def test_overflowing_norm_gives_inf_without_warnings(self):
+        # each component 1e200 is finite, the squared norm is not: no RuntimeWarning
+        model = fixture_model(a=0.0, b=0.0, dim=2)
+        model.diffusion_net.biases[0][:] = 1e200
+        traj = EmbeddingTrajectory(np.zeros((3, 2)), np.arange(3.0))
+        mags, logs = uncertainty_heatmap(model, traj)
+        assert np.all(mags == math.inf) and np.all(logs == math.inf)
+
+
+@pytest.mark.parametrize("check", [
+    lambda model, states: estimate_regularity(model, states, 0.0),
+    lambda model, states: lyapunov_check(model, states, 0.0),
+    lambda model, states: compare_trajectories(EmbeddingTrajectory(states, np.arange(3.0)), model),
+    lambda model, states: uncertainty_heatmap(model, EmbeddingTrajectory(states, np.arange(3.0))),
+], ids=["regularity", "lyapunov", "compare", "heatmap"])
+def test_wrong_state_dim_refused(check):
+    states = RngStream(4).normals(9).reshape(3, 3)
+    with pytest.raises(DimensionMismatchError, match="state dim 3, model dim 2"):
+        check(fixture_model(a=-1.0, b=0.5, dim=2), states)
+
 
 class TestWordImportance:
     def test_norms(self):

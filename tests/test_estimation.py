@@ -52,6 +52,13 @@ class TestTrainingConfig:
             {"drift_weight": 0.0, "diffusion_weight": 0.0},
             {"validation_fraction": 1.0},
             {"grad_clip": 0.0},
+            # non-finite values fail the same guards
+            {"learning_rate": math.inf},
+            {"learning_rate": math.nan},
+            {"drift_weight": math.nan},
+            {"diffusion_weight": math.inf},
+            {"grad_clip": math.inf},
+            {"grad_clip": math.nan},
         ],
     )
     def test_rejects(self, kwargs):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -170,6 +171,45 @@ class TestSdeModel:
             zero_model(2).drift(np.ones(3), 0.0)
 
 
+class TestFields:
+    @pytest.mark.parametrize("kind", TIME_ENCODING_KINDS)
+    def test_halves_are_the_nets_on_hand_built_rows(self, kind):
+        dim, enc = 3, TimeEncoding(kind=kind, horizon=2.0, n_pairs=2)
+        model = SdeModel(
+            dim,
+            glorot_init([dim + enc.width, 5, dim], RngStream(1)),
+            glorot_init([dim + enc.width, 5, dim], RngStream(2), output_activation="softplus"),
+            enc,
+        )
+        xs = RngStream(3).normals(4 * dim).reshape(4, dim)
+        ts = np.array([0.0, 0.3, 1.1, 1.9])
+        rows = np.concatenate([xs, enc.encode_batch(ts)], axis=1)
+        mu, sigma = model.fields(xs, ts)
+        np.testing.assert_array_equal(mu, model.drift_net.forward(rows))
+        np.testing.assert_array_equal(sigma, model.diffusion_net.forward(rows))
+        np.testing.assert_array_equal(model.drift(xs, ts), mu)
+        np.testing.assert_array_equal(model.diffusion(xs, ts), sigma)
+
+        row = np.concatenate([xs[1], enc.encode_batch(0.3)[0]])[None, :]
+        mu, sigma = model.fields(xs[1], 0.3)
+        assert mu.shape == sigma.shape == (dim,)
+        np.testing.assert_array_equal(mu, model.drift_net.forward(row)[0])
+        np.testing.assert_array_equal(sigma, model.diffusion_net.forward(row)[0])
+        np.testing.assert_array_equal(model.drift(xs[1], 0.3), mu)
+        np.testing.assert_array_equal(model.diffusion(xs[1], 0.3), sigma)
+
+    def test_overflow_gives_inf_without_warnings(self):
+        model = linear_sde_model(LinearSdeSpec(a=1e300, b=0.5, dim=2))
+        x = np.array([[1e300, -1e300], [1.0, 2.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mu, sigma = model.fields(x, 0.0)
+            assert np.array_equal(model.drift(x, 0.0), mu, equal_nan=True)
+        assert mu[0, 0] == np.inf and mu[0, 1] == -np.inf
+        np.testing.assert_array_equal(mu[1], [1e300, 2e300])
+        np.testing.assert_allclose(sigma, 0.5)
+
+
 class TestEulerStep:
     """One step ``x + mu(x,t) dt + sigma(x,t) dW`` through a one-step simulate."""
 
@@ -193,8 +233,9 @@ class TestEulerStep:
     def test_shape_and_dt_validation(self):
         with pytest.raises(DimensionMismatchError):
             simulate(zero_model(2), np.ones(3), n_steps=1, dt=0.1)
-        with pytest.raises(ValidationError):
-            simulate(zero_model(2), np.ones(2), n_steps=1, dt=0.0)
+        for dt in (0.0, math.inf, math.nan):
+            with pytest.raises(ValidationError):
+                simulate(zero_model(2), np.ones(2), n_steps=1, dt=dt)
 
     def test_nonfinite_raises(self):
         model = linear_sde_model(LinearSdeSpec(a=1.0, b=0.0, dim=1))
@@ -435,6 +476,13 @@ class TestLinearFixtures:
     def test_negative_b_rejected(self):
         with pytest.raises(ValidationError):
             LinearSdeSpec(a=0.0, b=-0.1)
+
+    @pytest.mark.parametrize("a, b", [
+        (math.nan, 0.5), (math.inf, 0.5), (-math.inf, 0.5), (-1.0, math.nan), (-1.0, math.inf),
+    ])
+    def test_nonfinite_coefficients_rejected(self, a, b):
+        with pytest.raises(ValidationError):
+            LinearSdeSpec(a=a, b=b)
 
 
 class TestSampleLinearTrajectories:
