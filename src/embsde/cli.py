@@ -197,6 +197,8 @@ def cmd_diagnose(args) -> int:
     _check_probe_time(args.t)
     if args.probes < 2:
         raise ValidationError(f"--probes must be at least 2, got {args.probes}")
+    if args.paths < 100:  # moment_monte_carlo's rule and message, checked with or without --oracle
+        raise ValidationError(f"need at least 100 paths, got {args.paths}")
     model = load_model(args.model).model
     trajectories = _load_nonempty(args.data, " to diagnose against")
     reference = None if args.oracle is None else _parse_oracle(args.oracle)

@@ -148,13 +148,13 @@ def _loss_kernel(mu, sigma, x, x_next, dt, with_grads=False):
             grad_mu = (-2.0 / n) * resid * dt
             grad_sigma = (1.0 / n) * (-(resid**2) / (sigma**3 * dt) + 1.0 / sigma)
         terms = np.square(resid, out=resid)
-        drift = float(np.mean(np.sum(terms, axis=1)))
+        drift = float(terms.sum(axis=1).sum()) / n  # np.mean's reduction and division
         scale = sigma**2 * 2.0
         scale *= dt
         terms /= scale
         terms += np.log(sigma, out=scale)
         terms += 0.5 * np.log(dt)
-        diffusion = float(np.mean(np.sum(terms, axis=1)))
+        diffusion = float(terms.sum(axis=1).sum()) / n
     return (drift, diffusion, grad_mu, grad_sigma) if with_grads else (drift, diffusion)
 
 

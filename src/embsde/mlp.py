@@ -8,7 +8,9 @@ layer as the row-major weight matrix followed by the bias; ``weights`` and
 ``biases`` are views into it, so writing through either changes the other.
 Training uses plain stochastic gradient descent; the backward pass is
 hand-written so that gradients are exact for the losses built on top (and can
-be checked against finite differences in tests).
+be checked against finite differences in tests).  Forward evaluation applies
+the hidden activations in place on each layer's fresh pre-activation, so a
+layer holds one ``(n, width)`` array, not two.
 
 Inputs may be a single vector or an ``(n, d)`` batch; batched evaluation
 agrees with row-at-a-time evaluation to floating-point roundoff (the matmul
@@ -35,19 +37,18 @@ OUTPUT_ACTIVATIONS = ("identity", "softplus")
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp(-|z|) never overflows and serves both branches; min(z, -z) keeps a NaN's sign
+    e = np.exp(np.minimum(z, -z))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
 
 
 def _apply_activation(name: str, z: np.ndarray) -> np.ndarray:
+    # hidden activations overwrite z: callers pass a pre-activation made for this call
     if name == "tanh":
-        return np.tanh(z)
+        return np.tanh(z, out=z)
     if name == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=z)
     if name == "identity":
         return z
     if name == "softplus":
@@ -63,7 +64,7 @@ def _activation_grad(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
     if name == "tanh":
         return 1.0 - a * a
     if name == "relu":
-        return (z > 0.0).astype(np.float64)
+        return (a > 0.0).astype(np.float64)  # max(z, 0) > 0 exactly where z > 0
     if name == "identity":
         return np.ones_like(z)
     if name == "softplus":
@@ -154,13 +155,15 @@ class MlpNetwork:
         """Forward pass keeping per-layer inputs and pre-activations.
 
         The cache (one ``(a_in, z, out)`` triple per layer) feeds
-        :meth:`backward`; the returned output is always a batch
+        :meth:`backward`; a hidden layer's activation runs in place, so its
+        ``z`` is its ``out``.  The returned output is always a batch
         (``(n, out_dim)``), even for a single input vector.
         """
         a, _ = self._promote(x)
         cache = []
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = a @ w.T + b
+            z = a @ w.T
+            z += b
             out = _apply_activation(self._layer_activation(i), z)
             cache.append((a, z, out))
             a = out

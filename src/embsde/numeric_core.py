@@ -84,15 +84,15 @@ def indexed_normals(seeds, normal_indices) -> np.ndarray:
     ``RngStream(s)``.  Used for bulk Wiener-increment generation where every
     path owns its own stream.
     """
-    seeds, idx = np.broadcast_arrays(
-        np.asarray(seeds, dtype=np.uint64), np.asarray(normal_indices, dtype=np.uint64)
-    )
-    shape = seeds.shape
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    idx = np.asarray(normal_indices, dtype=np.uint64)
+    shape = np.broadcast_shapes(seeds.shape, idx.shape)
     seeds, idx = np.atleast_1d(seeds, idx)
-    two_i = idx * np.uint64(2)
-    w1 = _mix64(seeds + (two_i + np.uint64(1)) * _GAMMA)
-    w2 = _mix64(seeds + (two_i + np.uint64(2)) * _GAMMA)
-    return _box_muller(w1, w2).reshape(shape)
+    # word offsets (2k+1) GAMMA and (2k+2) GAMMA, computed on idx before it broadcasts
+    states = seeds + (idx * np.uint64(2) + np.uint64(1)) * _GAMMA
+    w1 = _mix64(states)
+    states += _GAMMA
+    return _box_muller(w1, _mix64(states)).reshape(shape)
 
 
 class RngStream:

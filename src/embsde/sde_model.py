@@ -117,7 +117,10 @@ class EmbeddingTrajectory:
             raise DimensionMismatchError(
                 f"{states.shape[0]} states but {times.shape} times"
             )
-        if np.any(np.diff(times) <= 0.0):
+        if not (math.isfinite(times[0]) and math.isfinite(times[-1])):
+            raise ValidationError("times must be finite")
+        # compared, not subtracted: no inf - inf, NaN fails, and finite ends bound the rest
+        if not (times[1:] > times[:-1]).all():
             raise ValidationError("times must be strictly increasing")
         if self.tokens is not None and len(self.tokens) != states.shape[0]:
             raise DimensionMismatchError(
@@ -256,6 +259,8 @@ def _euler_maruyama(
         raise ValidationError(f"bad request n_steps={n_steps}")
     if not (0.0 < dt < math.inf):
         raise ValidationError(f"dt must be positive and finite, got {dt}")
+    if not math.isfinite(dt * n_steps):  # refused before any step: the last time overflows
+        raise ValidationError(f"time grid overflows: {n_steps} steps of dt={dt}")
     n, d = x0.shape
     out = np.empty((n, n_steps + 1, d))
     out[:, 0, :] = x0

@@ -5,6 +5,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -384,6 +385,8 @@ def _numeric_flag_cases():
     parser = build_parser()
     subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     cases = [("diagnose", "--oracle", "nan,0.5")]
+    # --paths is checked whether or not --oracle asks for the moment Monte Carlo
+    cases += [("diagnose-no-oracle", "--paths", value) for value in ("-1", "99")]
     for command, sub in subparsers.choices.items():
         for action in sub._actions:
             flag = action.option_strings[-1] if action.option_strings else None
@@ -413,6 +416,7 @@ def sweep_inputs(tmp_path_factory):
                    "out.jsonl"],
         "diagnose": ["diagnose", "--model", m1, "--data", d1, "--out-dir", "out",
                      "--oracle=-1,0.5", "--paths", "100"],
+        "diagnose-no-oracle": ["diagnose", "--model", m1, "--data", d1, "--out-dir", "out"],
         "field": ["field", "--model", str(d / "model2.json"), "--data", str(d / "data2.jsonl"),
                   "--res", "3", "--out", "out.csv"],
     }
@@ -440,6 +444,24 @@ class TestNumericFlagSweep:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("embsde: error: ") and captured.err.count("\n") == 1
+        assert os.listdir(tmp_path) == [] and sorted(inputs.iterdir()) == before
+
+    @pytest.mark.parametrize("command, extra", [
+        ("synth-ou", ["--a=0", "--b=0"]), ("simulate", []),
+    ])
+    def test_overflowing_time_grid_exits_1_in_one_line_writing_nothing(
+        self, sweep_inputs, tmp_path, monkeypatch, capsys, command, extra
+    ):
+        # a finite dt whose grid of 3-4 steps overflows: refused before any step or write
+        inputs, base = sweep_inputs
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("SDE_TRAJ_SEED", raising=False)
+        before = sorted(inputs.iterdir())
+        assert main([*base[command], *extra, "--dt=1e308"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"embsde: error: time grid overflows: \d steps of dt=1e\+308\n",
+                            captured.err)
         assert os.listdir(tmp_path) == [] and sorted(inputs.iterdir()) == before
 
 

@@ -156,6 +156,23 @@ class TestDiffusionLoss:
             transition_losses(model, scalar_transitions(0.0, 1.0))
 
 
+class TestLossKernelMeans:
+    @pytest.mark.parametrize("n, d", [(1, 1), (7, 1), (256, 1), (1001, 3), (300, 64)])
+    def test_means_equal_np_mean_bit_for_bit(self, n, d):
+        rng = RngStream(n + d)
+        mu, x, x_next = (rng.normals(n * d).reshape(n, d) for _ in range(3))
+        sigma = np.exp(0.5 * rng.normals(n * d)).reshape(n, d)
+        dt = 0.01 + rng.uniforms(n)
+        resid = x_next - x - mu * dt[:, None]
+        terms = resid**2
+        want_drift = float(np.mean(np.sum(terms, axis=1)))
+        terms = terms / (sigma**2 * 2.0 * dt[:, None]) + np.log(sigma) + 0.5 * np.log(dt[:, None])
+        want_diffusion = float(np.mean(np.sum(terms, axis=1)))
+        for with_grads in (False, True):
+            drift, diffusion = _loss_kernel(mu, sigma, x, x_next, dt, with_grads)[:2]
+            assert (drift, diffusion) == (want_drift, want_diffusion)
+
+
 def fd_grad(loss_at, theta, h=1e-6):
     """Central finite-difference gradient of ``loss_at`` at ``theta``."""
     fd = np.empty_like(theta)

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from embsde.cli_io import load_model, save_model
 from embsde.errors import DimensionMismatchError, ValidationError
-from embsde.mlp import MlpNetwork, _apply_activation, glorot_init, sgd_step
+from embsde.mlp import MlpNetwork, _apply_activation, _sigmoid, glorot_init, sgd_step
 from embsde.numeric_core import RngStream
 from embsde.sde_model import SdeModel, TimeEncoding
 
@@ -126,6 +127,98 @@ class TestBackward:
             _, c1 = net.forward_with_cache(x)
             total += net.backward(c1, np.ones((1, 2)))
         np.testing.assert_allclose(batch_grad, total, rtol=1e-12)
+
+
+def _masked_sigmoid(z):
+    """The two-branch sigmoid: exp(-z) where z >= 0, exp(z) / (1 + exp(z)) elsewhere."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+_REFERENCE_ACTIVATIONS = {
+    "tanh": (np.tanh, lambda z, a: 1.0 - a * a),
+    "relu": (lambda z: np.maximum(z, 0.0), lambda z, a: (z > 0.0).astype(np.float64)),
+    "identity": (lambda z: z, lambda z, a: np.ones_like(z)),
+    "softplus": (
+        lambda z: np.maximum(np.log1p(np.exp(-np.abs(z))) + np.maximum(z, 0.0), 1e-300),
+        lambda z, a: _masked_sigmoid(z),
+    ),
+}
+
+
+def _reference_pass(net, xs, grad_output):
+    """Out-of-place forward and backward: every layer keeps its own pre-activation."""
+    names = [net.hidden_activation] * (len(net.weights) - 1) + [net.output_activation]
+    a, cache = xs, []
+    for w, b, name in zip(net.weights, net.biases, names):
+        z = a @ w.T + b
+        out = _REFERENCE_ACTIVATIONS[name][0](z)
+        cache.append((a, z, out))
+        a = out
+    parts, delta = [], grad_output
+    for i in range(len(net.weights) - 1, -1, -1):
+        a_in, z, out = cache[i]
+        delta = delta * _REFERENCE_ACTIVATIONS[names[i]][1](z, out)
+        parts = [np.ravel(delta.T @ a_in), delta.sum(axis=0), *parts]
+        if i:
+            delta = delta @ net.weights[i]
+    return a, np.concatenate(parts)
+
+
+class TestInPlaceActivations:
+    # hidden activations overwrite their pre-activation; the bits must not move
+
+    @pytest.mark.parametrize("rows", [None, 1, 7, 300])
+    @pytest.mark.parametrize("output_activation", ["identity", "softplus"])
+    @pytest.mark.parametrize("hidden_activation", ["tanh", "relu"])
+    def test_forward_and_backward_equal_the_out_of_place_pass(
+        self, hidden_activation, output_activation, rows
+    ):
+        net = glorot_init([3, 16, 8, 2], RngStream(21), hidden_activation, output_activation)
+        net.biases[0][:] = RngStream(22).normals(16)  # some relu units on each side of 0
+        n = 1 if rows is None else rows
+        xs = 2.0 * RngStream(23).normals(n * 3).reshape(n, 3)
+        coef = RngStream(24).normals(n * 2).reshape(n, 2)
+        x = xs[0] if rows is None else xs
+        want_out, want_grad = _reference_pass(net, xs, coef)
+
+        out, cache = net.forward_with_cache(x)
+        assert out.tobytes() == want_out.tobytes()
+        assert net.backward(cache, coef).tobytes() == want_grad.tobytes()
+        forward = net.forward(x)
+        assert forward.shape == (want_out[0] if rows is None else want_out).shape
+        assert forward.tobytes() == want_out.tobytes()
+
+    def test_sigmoid_equals_the_masked_formula(self):
+        nan_payloads = np.array(
+            [0x7FF8000000000123, 0xFFF8000000000456], dtype=np.uint64
+        ).view(np.float64)
+        z = np.concatenate([
+            [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e-300, -1e-300],
+            np.arange(745.0, 801.0), -np.arange(745.0, 801.0), [745.5, -745.5],
+            [np.inf, -np.inf, np.nan, -np.nan, 1e300, -1e300], nan_payloads,
+            RngStream(25).normals(64) * 40.0,
+        ])
+        for shaped in (z, z[:-2].reshape(-1, 4)):
+            assert _sigmoid(shaped).tobytes() == _masked_sigmoid(shaped).tobytes()
+
+    @pytest.mark.parametrize("output_activation", ["identity", "softplus"])
+    @pytest.mark.parametrize("hidden_activation", ["tanh", "relu"])
+    def test_forward_holds_one_hidden_array(self, hidden_activation, output_activation):
+        net = glorot_init([2, 32, 2], RngStream(26), hidden_activation, output_activation)
+        xs = RngStream(27).normals(20000 * 2).reshape(20000, 2)
+        hidden_bytes = 20000 * 32 * 8
+        tracemalloc.start()
+        try:
+            net.forward(xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * hidden_bytes
 
 
 class TestParamsRoundTrip:

@@ -8,8 +8,11 @@ from hypothesis import strategies as st
 
 from embsde.errors import DimensionMismatchError, EstimationError, ValidationError
 from embsde.numeric_core import (
+    _GAMMA,
     PcaResult,
     RngStream,
+    _box_muller,
+    _mix64,
     indexed_normals,
     pca_fit,
     stream_words,
@@ -147,6 +150,29 @@ class TestRngStream:
         assert np.ndim(z) == 0
         assert z == RngStream(seed).normals(1)[0]
         np.testing.assert_array_equal(block, RngStream(seed).normals(3))
+
+    @pytest.mark.parametrize("seeds, idx", [
+        (np.arange(1000, dtype=np.uint64)[:, None] ^ np.uint64(77), np.arange(64)),
+        (np.uint64(5), 3),
+        (np.array([1, 2, 3], dtype=np.uint64), 9),
+        (np.array([[4], [2**64 - 1]], dtype=np.uint64) + np.zeros((2, 3), dtype=np.uint64),
+         np.array([0, 7, 2**40])),
+        (2**64 - 1, np.arange(5)),
+    ])
+    def test_indexed_normals_equal_the_broadcast_first_formula(self, seeds, idx):
+        ref_seeds, ref_idx = np.broadcast_arrays(
+            np.asarray(seeds, dtype=np.uint64), np.asarray(idx, dtype=np.uint64)
+        )
+        shape = ref_seeds.shape
+        ref_seeds, ref_idx = np.atleast_1d(ref_seeds, ref_idx)
+        two_i = ref_idx * np.uint64(2)
+        want = _box_muller(
+            _mix64(ref_seeds + (two_i + np.uint64(1)) * _GAMMA),
+            _mix64(ref_seeds + (two_i + np.uint64(2)) * _GAMMA),
+        ).reshape(shape)
+        got = indexed_normals(seeds, idx)
+        assert got.shape == shape
+        assert got.tobytes() == want.tobytes()
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValidationError):

@@ -84,6 +84,22 @@ class TestEmbeddingTrajectory:
         with pytest.raises(ValidationError):
             EmbeddingTrajectory(np.zeros((2, 1)), [0.0, 0.0])
 
+    @pytest.mark.parametrize("times, message", [
+        ([0.0, math.inf], "finite"),
+        ([0.0, 1e308, math.inf], "finite"),
+        ([-math.inf, 0.0], "finite"),
+        ([0.0, math.nan], "finite"),
+        ([math.nan], "finite"),
+        ([0.0, math.nan, 1.0], "strictly increasing"),
+        ([0.0, math.inf, math.inf, 5.0], "strictly increasing"),
+        ([0.0, -math.inf, -math.inf, 5.0], "strictly increasing"),
+    ])
+    def test_nonfinite_times_refused(self, times, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValidationError, match=f"times must be {message}"):
+                EmbeddingTrajectory(np.zeros((len(times), 1)), times)
+
     def test_length_mismatches(self):
         with pytest.raises(DimensionMismatchError):
             EmbeddingTrajectory(np.zeros((2, 1)), [0.0])
@@ -236,6 +252,18 @@ class TestEulerStep:
         for dt in (0.0, math.inf, math.nan):
             with pytest.raises(ValidationError):
                 simulate(zero_model(2), np.ones(2), n_steps=1, dt=dt)
+
+    def test_overflowing_time_grid_refused_up_front(self):
+        # every step is finite, but the grid's last time (and a time feature) overflows
+        model = linear_sde_model(LinearSdeSpec(a=0.0, b=0.0, dim=1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValidationError, match="time grid overflows"):
+                simulate(model, np.zeros(1), n_steps=3, dt=1e308)
+            with pytest.raises(ValidationError, match="time grid overflows"):
+                sample_linear_trajectories(LinearSdeSpec(0.0, 0.0), 2, 3, 1e308, seed=1)
+            last = simulate(model, np.zeros(1), n_steps=1, dt=1e308)
+        assert last.times.tolist() == [0.0, 1e308]
 
     def test_nonfinite_raises(self):
         model = linear_sde_model(LinearSdeSpec(a=1.0, b=0.0, dim=1))

@@ -13,7 +13,8 @@ Each section runs in a fresh temporary directory, every command as its own
   sinusoidal``, ``diagnose`` at 64 and 256 probes, ``field``, ``importance``
   with and without tokens, ``answer`` and ``simulate --init-vec``;
 * ``refusals``: inputs the CLI must refuse, among them non-finite float
-  flags and ``diagnose --probes`` below 2.
+  flags, a finite ``--dt`` whose time grid overflows, ``diagnose --probes``
+  below 2 and ``diagnose --paths`` below 100 without ``--oracle``.
 
 The manifest maps ``<section>/<step>/exit``, ``.../stdout``, ``.../stderr``
 and ``.../file:<name>`` (each file the step created or changed) to a sha256.
@@ -89,11 +90,16 @@ REFUSALS = [
     ("train-grad-clip-inf", [*TRAIN_1, "--grad-clip", "inf"]),
     ("simulate-dt-inf", ["simulate", *MODEL_1, "--init-vec", "start.json", "--steps", "5",
                          "--dt", "inf", "--out", "refused.jsonl"]),
+    ("synth-dt-overflow", ["synth-ou", "--out", "refused.jsonl", "--a", "0", "--b", "0",
+                           "--dt", "1e308", "--steps", "3", "--n-traj", "2"]),
+    ("simulate-dt-overflow", ["simulate", *MODEL_1, "--init-vec", "start.json", "--steps", "3",
+                              "--dt", "1e308", "--out", "refused.jsonl"]),
     ("answer-dt-nan", ["answer", *MODEL_1, "--question", "a b", "--steps", "5", "--dt", "nan"]),
     ("diagnose-oracle-nan", [*DIAGNOSE_1, "--oracle=nan,0.5", "--paths", "200"]),
     ("diagnose-probes--5", [*DIAGNOSE_1, "--probes", "-5"]),
     ("diagnose-probes-0", [*DIAGNOSE_1, "--probes", "0"]),
     ("diagnose-probes-1", [*DIAGNOSE_1, "--probes", "1"]),
+    ("diagnose-paths-50", [*DIAGNOSE_1, "--paths", "50"]),
     ("diagnose-t-inf", [*DIAGNOSE_1, "--t", "inf"]),
     ("diagnose-bad-oracle", [*DIAGNOSE_1, "--oracle=1,2,3"]),
     ("diagnose-dim-mismatch", ["diagnose", *MODEL_1, "--data", "data2.jsonl", "--out-dir", "diag"]),
