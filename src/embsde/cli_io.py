@@ -33,7 +33,7 @@ import numpy as np
 from .errors import DataFormatError, ModelFormatError, ValidationError
 from .estimation import LossRecord
 from .mlp import MlpNetwork
-from .numeric_core import RngStream
+from .numeric_core import _GAMMA, _mix64, _words_to_unit
 from .sde_model import EmbeddingTrajectory, SdeModel, TimeEncoding
 
 FORMAT_VERSION = 1
@@ -148,20 +148,19 @@ def toy_embed(text: str, dim: int) -> EmbeddingTrajectory:
     """Deterministic hash-based token embeddings for demos and tests.
 
     Whitespace-tokenizes; each token seeds a stream off its blake2b digest
-    and draws ``dim`` components in ``(-1, 1]``.  Identical tokens map to
-    identical vectors across processes and platforms.  Carries no semantics
-    whatsoever.
+    (big-endian), whose first ``dim`` uniforms ``u`` give the components
+    ``2u - 1`` in ``(-1, 1]``.  Identical tokens map to identical vectors
+    across processes and platforms.  Carries no semantics whatsoever.
     """
     if dim < 1:
         raise ValidationError(f"dim must be positive, got {dim}")
     tokens = text.split()
     if not tokens:
         raise ValidationError("text has no tokens")
-    states = np.empty((len(tokens), dim))
-    for i, token in enumerate(tokens):
-        digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
-        stream = RngStream(int.from_bytes(digest, "big"))
-        states[i] = 2.0 * stream.uniforms(dim) - 1.0
+    digests = b"".join(hashlib.blake2b(t.encode("utf-8"), digest_size=8).digest() for t in tokens)
+    seeds = np.frombuffer(digests, dtype=">u8").astype(np.uint64)
+    words = _mix64(seeds[:, None] + np.arange(1, dim + 1, dtype=np.uint64) * _GAMMA)
+    states = 2.0 * _words_to_unit(words) - 1.0
     return EmbeddingTrajectory(states=states, times=np.arange(len(tokens), dtype=np.float64),
                                tokens=tokens)
 

@@ -10,7 +10,8 @@ Training uses plain stochastic gradient descent; the backward pass is
 hand-written so that gradients are exact for the losses built on top (and can
 be checked against finite differences in tests).  Forward evaluation applies
 the hidden activations in place on each layer's fresh pre-activation, so a
-layer holds one ``(n, width)`` array, not two.
+layer holds one ``(n, width)`` array, not two.  A signalling NaN, which
+arithmetic never makes, is outside softplus's contract: its NaN's sign may vary.
 
 Inputs may be a single vector or an ``(n, d)`` batch; batched evaluation
 agrees with row-at-a-time evaluation to floating-point roundoff (the matmul
@@ -55,7 +56,7 @@ def _apply_activation(name: str, z: np.ndarray) -> np.ndarray:
         # in place on its own array, never on z: whole-split evaluation peaks here
         out = -np.abs(z)
         np.log1p(np.exp(out, out=out), out=out)
-        np.add(out, z, out=out, where=z > 0.0)  # adds max(z, 0) without a temporary
+        out += np.maximum(z, 0.0)
         return np.maximum(out, _SOFTPLUS_FLOOR, out=out)
     raise ValidationError(f"unknown activation {name!r}")
 

@@ -25,7 +25,8 @@ pair of consecutive words::
 
 The sine companion is intentionally discarded: each normal is then a pure
 function of ``(seed, k)``, which is what makes ensemble noise generation a
-bulk array computation rather than a sequential draw.
+bulk array computation rather than a sequential draw.  The helpers overwrite
+the arrays their callers make for them, with the bits of the formulas above.
 
 A permutation of ``range(n)`` is the Fisher-Yates shuffle driven by the next
 ``n - 1`` uniforms ``u_1 .. u_{n-1}`` of the stream: for ``i = n-1, ..., 1``
@@ -50,12 +51,12 @@ _INV_2_53 = 2.0 ** -53
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
-    # uint64 arrays wrap mod 2**64 silently; 0-d operands warn, so callers promote them
-    z = z ^ (z >> np.uint64(30))
-    z = z * _MIX_C1
-    z = z ^ (z >> np.uint64(27))
-    z = z * _MIX_C2
-    z = z ^ (z >> np.uint64(31))
+    # overwrites z; uint64 arrays wrap mod 2**64 silently, 0-d ones warn: callers promote
+    z ^= z >> np.uint64(30)
+    z *= _MIX_C1
+    z ^= z >> np.uint64(27)
+    z *= _MIX_C2
+    z ^= z >> np.uint64(31)
     return z
 
 
@@ -67,13 +68,19 @@ def stream_words(seed: int, start: int, count: int) -> np.ndarray:
 
 
 def _words_to_unit(words: np.ndarray) -> np.ndarray:
-    return ((words >> np.uint64(11)).astype(np.float64) + 1.0) * _INV_2_53
+    # shifts words in place; values below 2**53 convert to float64 exactly
+    words >>= np.uint64(11)
+    u = words + 1.0
+    u *= _INV_2_53
+    return u
 
 
 def _box_muller(w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
-    u1 = _words_to_unit(w1)
-    u2 = _words_to_unit(w2)
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos(_TWO_PI * u2)
+    # consumes both word arrays; the bits are those of sqrt(-2 ln u1) * cos(2 pi u2)
+    r = _words_to_unit(w1)
+    np.sqrt(np.multiply(np.log(r, out=r), -2.0, out=r), out=r)
+    c = _words_to_unit(w2)
+    return np.multiply(r, np.cos(np.multiply(c, _TWO_PI, out=c), out=c), out=r)
 
 
 def indexed_normals(seeds, normal_indices) -> np.ndarray:
@@ -89,10 +96,9 @@ def indexed_normals(seeds, normal_indices) -> np.ndarray:
     shape = np.broadcast_shapes(seeds.shape, idx.shape)
     seeds, idx = np.atleast_1d(seeds, idx)
     # word offsets (2k+1) GAMMA and (2k+2) GAMMA, computed on idx before it broadcasts
-    states = seeds + (idx * np.uint64(2) + np.uint64(1)) * _GAMMA
-    w1 = _mix64(states)
-    states += _GAMMA
-    return _box_muller(w1, _mix64(states)).reshape(shape)
+    w1 = seeds + (idx * np.uint64(2) + np.uint64(1)) * _GAMMA
+    w2 = w1 + _GAMMA
+    return _box_muller(_mix64(w1), _mix64(w2)).reshape(shape)
 
 
 class RngStream:

@@ -11,7 +11,9 @@ NaN, never a warning.  Integration is explicit Euler-Maruyama; each path owns a
 noise stream derived from the caller's seed XOR the path index, which makes
 single-path and ensemble simulation produce the same numbers and lets paths be
 generated independently.  Noise is drawn in blocks of steps (at most 2**16
-normals) at addresses fixed by path and step.
+normals) at addresses fixed by path and step.  The step works in place: the
+states live in the one net input both networks read, and the update runs in
+their output arrays, with the bits of ``x + mu*dt + sigma*dW``.
 
 Also here: the question-to-answer generation procedure (start from the mean
 of the question embeddings, integrate forward one token per step), and the
@@ -264,29 +266,35 @@ def _euler_maruyama(
     n, d = x0.shape
     out = np.empty((n, n_steps + 1, d))
     out[:, 0, :] = x0
-    x = out[:, 0, :]
+    inp = np.empty((n, d + model.time_encoding.width))  # [x | time features], both nets' input
+    x = inp[:, :d]
+    x[...] = x0
     block = max(1, _NOISE_BLOCK // (n * d))
-    for start in range(0, n_steps, block):
-        ks = np.arange(start, min(start + block, n_steps))
-        idx = np.arange(start * d, (start + ks.size) * d, dtype=np.uint64)
-        dW = math.sqrt(dt) * indexed_normals(seeds[:, None], idx).reshape(n, ks.size, d)
-        feats = model.time_encoding.encode_batch(ks * dt)
-        for i, k in enumerate(ks.tolist()):
-            inp = model._net_input(x, feats[i])
-            with np.errstate(over="ignore", invalid="ignore"):  # blow-up handled below
+    with np.errstate(over="ignore", invalid="ignore"):  # blow-up handled below
+        for start in range(0, n_steps, block):
+            ks = np.arange(start, min(start + block, n_steps))
+            idx = np.arange(start * d, (start + ks.size) * d, dtype=np.uint64)
+            dW = indexed_normals(seeds[:, None], idx).reshape(n, ks.size, d)
+            dW *= math.sqrt(dt)
+            feats = model.time_encoding.encode_batch(ks * dt)
+            for i, k in enumerate(ks.tolist()):
+                inp[:, d:] = feats[i]
                 mu, sigma = model.drift_net.forward(inp), model.diffusion_net.forward(inp)
-                x = x + mu * dt + sigma * dW[:, i]
-            bad = ~(np.abs(x) <= BLOWUP_LIMIT).all(axis=1)  # NaN fails the comparison too
-            if bad.any():
-                paths = np.flatnonzero(bad).tolist()
-                raise SimulationBlowupError(
-                    f"{len(paths)} of {n} paths left |x| <= {BLOWUP_LIMIT:g} at step {k + 1}",
-                    step=k + 1,
-                    prefix_states=out[:, : k + 1].copy(),
-                    prefix_times=dt * np.arange(k + 1),
-                    paths=paths,
-                )
-            out[:, k + 1, :] = x
+                # x + mu*dt + sigma*dW in that operand order, in the forwards' own arrays
+                mu *= dt
+                mu += x
+                sigma *= dW[:, i]
+                np.add(mu, sigma, out=x)
+                if not np.abs(x).max() <= BLOWUP_LIMIT:  # NaN fails the comparison too
+                    paths = np.flatnonzero(~(np.abs(x) <= BLOWUP_LIMIT).all(axis=1)).tolist()
+                    raise SimulationBlowupError(
+                        f"{len(paths)} of {n} paths left |x| <= {BLOWUP_LIMIT:g} at step {k + 1}",
+                        step=k + 1,
+                        prefix_states=out[:, : k + 1].copy(),
+                        prefix_times=dt * np.arange(k + 1),
+                        paths=paths,
+                    )
+                out[:, k + 1, :] = x
     return out
 
 

@@ -172,6 +172,17 @@ class TestToyEmbed:
         states = toy_embed("a b c d e", 32).states
         assert np.all(states > -1.0) and np.all(states <= 1.0)
 
+    @pytest.mark.parametrize("dim", [1, 7, 768])
+    def test_matches_a_stream_per_token(self, dim):
+        text = "the river runs the Ærø river 北京 naïve the"
+        want = []
+        for token in text.split():
+            digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
+            want.append(2.0 * RngStream(int.from_bytes(digest, "big")).uniforms(dim) - 1.0)
+        states = toy_embed(text, dim).states
+        assert states.shape == (9, dim)
+        assert states.tobytes() == np.stack(want).tobytes()
+
     def test_rejects_bad_dim(self):
         with pytest.raises(ValidationError):
             toy_embed("word", 0)

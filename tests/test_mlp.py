@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,14 @@ from embsde.errors import DimensionMismatchError, ValidationError
 from embsde.mlp import MlpNetwork, _apply_activation, _sigmoid, glorot_init, sgd_step
 from embsde.numeric_core import RngStream
 from embsde.sde_model import SdeModel, TimeEncoding
+
+
+def masked_softplus(z):
+    """The softplus head as it once ran: max(z, 0) added only where z > 0, as the bit reference."""
+    out = -np.abs(z)
+    np.log1p(np.exp(out, out=out), out=out)
+    np.add(out, z, out=out, where=z > 0.0)
+    return np.maximum(out, 1e-300, out=out)
 
 
 def small_net(output_activation="identity", seed=3):
@@ -38,16 +47,30 @@ class TestForward:
 
     def test_softplus_leaves_its_input_and_matches_the_formula(self):
         # built in place on its own output; z is also the pre-activation that backward reads
+        edges = np.concatenate([
+            # quiet NaNs of both signs, with and without payloads
+            np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000ABC,
+                      0xFFF80000DEADBEEF, 0x7FFFFFFFFFFFFFFF, 0xFFF8000000000001],
+                     dtype=np.uint64).view(np.float64),
+            [np.inf, -np.inf, 5e-324, -5e-324, 2.2e-310, -2.2e-310],
+            [2.2250738585072014e-308, -2.2250738585072014e-308, 1.7976931348623157e308,
+             -1.7976931348623157e308],
+        ])
         z = np.concatenate([
             [-1e300, -1000.0, -745.5, -745.0, -744.0, -50.0, -1e-3, -0.0, 0.0, 1e-3, 3.0],
             [36.0, 700.0, 709.0, 710.0, 1e300],
+            edges,
             RngStream(2).normals(48) * 30.0,
-        ]).reshape(8, 8)
+        ]).reshape(10, 8)
         before = z.copy()
-        out = _apply_activation("softplus", z)
-        np.testing.assert_array_equal(z, before)
-        expected = np.maximum(np.log1p(np.exp(-np.abs(z))) + np.maximum(z, 0.0), 1e-300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = _apply_activation("softplus", z)
+            expected = np.maximum(np.log1p(np.exp(-np.abs(z))) + np.maximum(z, 0.0), 1e-300)
+            masked = masked_softplus(z)
+        assert z.tobytes() == before.tobytes()
         assert out.tobytes() == expected.tobytes()
+        assert out.tobytes() == masked.tobytes()
 
     def test_relu_hidden(self):
         net = glorot_init([2, 5, 1], RngStream(0), "relu")

@@ -174,6 +174,15 @@ class TestRngStream:
         assert got.shape == shape
         assert got.tobytes() == want.tobytes()
 
+    def test_indexed_normals_leave_their_arguments_alone(self):
+        seeds = np.arange(6, dtype=np.uint64)[:, None] * np.uint64(2**61 + 3)
+        idx = np.arange(10, dtype=np.uint64)
+        before = seeds.copy(), idx.copy()
+        got = indexed_normals(seeds, idx)
+        assert (seeds.tobytes(), idx.tobytes()) == (before[0].tobytes(), before[1].tobytes())
+        seeds.flags.writeable = idx.flags.writeable = False
+        assert indexed_normals(seeds, idx).tobytes() == got.tobytes()
+
     def test_negative_count_rejected(self):
         with pytest.raises(ValidationError):
             RngStream(0).normals(-1)

@@ -362,6 +362,22 @@ class TestSimulateEnsemble:
         np.testing.assert_array_equal(err.prefix_states[:, :, 0], 4.0 ** np.arange(err.step) * x0)
         assert 4.0**err.step > BLOWUP_LIMIT >= 4.0 ** (err.step - 1)
 
+    def test_start_states_are_read_not_written(self):
+        model = glorot_model(3, "scalar_normalized")
+        x0 = np.random.default_rng(4).standard_normal((5, 3))
+        before = x0.copy()
+        ens = simulate_ensemble(model, x0, 5, 6, dt=0.1, seed=2)
+        assert x0.tobytes() == before.tobytes()
+        frozen = x0.copy()
+        frozen.flags.writeable = False
+        np.testing.assert_array_equal(simulate_ensemble(model, frozen, 5, 6, dt=0.1, seed=2), ens)
+        shared = np.broadcast_to(x0[0], (5, 3))  # read-only, zero row stride
+        np.testing.assert_array_equal(
+            simulate_ensemble(model, shared, 5, 6, dt=0.1, seed=2),
+            simulate_ensemble(model, x0[0].copy(), 5, 6, dt=0.1, seed=2),
+        )
+        assert x0.tobytes() == before.tobytes()
+
     def test_weak_convergence_order_one(self):
         # |E[X(1)] - x0 e^{-1}| against dt on a log-log scale, slope ~ 1
         spec = LinearSdeSpec(a=-1.0, b=0.5, dim=1)
@@ -454,6 +470,33 @@ class TestBlockedNoiseKernel:
         assert (err.step - 1) % (_NOISE_BLOCK // (n * d)) != 0  # not the block's first step
         assert (err.step, err.paths) == (step, paths)
         np.testing.assert_array_equal(err.prefix_states, prefix)
+
+    def test_nan_blowup_inside_a_block_matches_reference(self):
+        n, d, dt = _NOISE_BLOCK // (3 * self.D), self.D, 0.1
+        model = glorot_model(d, "sinusoidal")
+        # hidden unit 0 is tanh(1e308 x_0 - inf): -1 while 1e308 x_0 is finite, NaN once it
+        # overflows (x_0 > 1.8), so a path turns NaN with every other state in the box
+        model.drift_net.weights[0][0] = 0.0
+        model.drift_net.weights[0][0, 0] = 1e308
+        model.drift_net.biases[0][0] = -np.inf
+        model.drift_net.biases[-1][0] = 3.0  # x_0 climbs about 0.3 a step
+        x0 = np.random.default_rng(2).standard_normal((n, d))
+        x0[:, 0] = -8.0
+        x0[:4, 0] = 0.5
+        with pytest.raises(SimulationBlowupError) as exc:
+            simulate_ensemble(model, x0, n, 20, dt, seed=3)
+        err = exc.value
+        prefix, step, paths = per_step_reference(model, x0, 3, 20, dt)
+        assert (err.step - 1) % (_NOISE_BLOCK // (n * d)) != 0  # not the block's first step
+        assert (err.step, err.paths) == (step, paths)
+        assert 0 < len(paths) <= 4
+        np.testing.assert_array_equal(err.prefix_states, prefix)
+        last = prefix[:, -1]
+        assert np.abs(last).max() <= BLOWUP_LIMIT
+        mu = model.drift(last, (err.step - 1) * dt)
+        assert np.flatnonzero(np.isnan(mu).any(axis=1)).tolist() == paths
+        assert np.isfinite(np.delete(mu, paths, axis=0)).all()
+        assert np.isfinite(model.diffusion(last, (err.step - 1) * dt)).all()
 
 
 class TestGenerateAnswer:
