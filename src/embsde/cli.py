@@ -10,6 +10,7 @@ estimates).  The ``SDE_TRAJ_SEED`` environment variable, when set, overrides
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -308,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=30)
     p.add_argument("--dt", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(handler=cmd_synth_ou)
+    p.set_defaults(handler="cmd_synth_ou")
 
     p = sub.add_parser("train", help="fit drift and diffusion networks to a JSONL dataset")
     p.add_argument("--data", required=True)
@@ -326,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hidden", default="32", help="comma-separated hidden widths")
     p.add_argument("--time-encoding", default="scalar_normalized",
                    choices=["none", "scalar_normalized", "sinusoidal"])
-    p.set_defaults(handler=cmd_train)
+    p.set_defaults(handler="cmd_train")
 
     p = sub.add_parser("simulate", help="integrate one path from a start state")
     p.add_argument("--model", required=True)
@@ -337,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(handler=cmd_simulate)
+    p.set_defaults(handler="cmd_simulate")
 
     p = sub.add_parser("answer", help="generate an answer trajectory from a question")
     p.add_argument("--model", required=True)
@@ -346,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="JSONL path; omitted prints the record to stdout")
-    p.set_defaults(handler=cmd_answer)
+    p.set_defaults(handler="cmd_answer")
 
     p = sub.add_parser("diagnose", help="regularity, stability, and moment checks")
     p.add_argument("--model", required=True)
@@ -357,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paths", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--t", type=float, default=0.0, help="time at which fields are probed")
-    p.set_defaults(handler=cmd_diagnose)
+    p.set_defaults(handler="cmd_diagnose")
 
     p = sub.add_parser("field", help="drift vector field on the data's PCA plane")
     p.add_argument("--model", required=True)
@@ -365,23 +366,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--res", type=int, default=20)
     p.add_argument("--out", required=True)
     p.add_argument("--t", type=float, default=0.0)
-    p.set_defaults(handler=cmd_field)
+    p.set_defaults(handler="cmd_field")
 
     p = sub.add_parser("importance", help="per-token embedding norms")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(handler=cmd_importance)
+    p.set_defaults(handler="cmd_importance")
 
     p = sub.add_parser("losses", help="export a trained model's loss history")
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(handler=cmd_losses)
+    p.set_defaults(handler="cmd_losses")
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args keeps no state between calls
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     env_seed = os.environ.get("SDE_TRAJ_SEED")
     if env_seed is not None and hasattr(args, "seed"):
         try:
@@ -390,7 +396,8 @@ def main(argv=None) -> int:
             print(f"embsde: error: SDE_TRAJ_SEED={env_seed!r} is not an integer", file=sys.stderr)
             return EXIT_VALIDATION
     try:
-        return args.handler(args)
+        # by name at call time: the parser outlives a wrapper (a tracer's) put on the module later
+        return globals()[args.handler](args)
     except NumericalError as exc:
         print(f"embsde: numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

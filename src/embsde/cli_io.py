@@ -6,7 +6,9 @@ Trajectories travel as JSON Lines, one record per line with fields ``id``,
 use Python's shortest round-trip float representation, so a load reproduces
 forward outputs exactly; a sha256 checksum over the canonicalized payload,
 with each list of numbers as the file spells it (``0.50`` for ``0.5`` fails),
-guards against truncation and bit rot.  Plot data leaves as small CSV files
+guards against truncation and bit rot.  A load reads each such list once, by
+one ``json`` call that checks and parses it, and re-encodes no float for the
+checksum.  Plot data leaves as small CSV files
 with frozen column sets, written atomically (temp file plus rename) with
 ``\\n`` line endings so identical runs produce identical bytes.  Each CSV
 writer names its columns and hands them to one column writer, which writes
@@ -189,14 +191,14 @@ def _net_payload(net: MlpNetwork) -> dict:
     }
 
 
-def _net_from_payload(payload: dict, where: str, literals: list[bytes]) -> MlpNetwork:
+def _net_from_payload(payload: dict, where: str, arrays: list[np.ndarray]) -> MlpNetwork:
     try:
-        dims = [int(d) for d in _float_array(payload["layer_dims"], literals)]
+        dims = [int(d) for d in _float_array(payload["layer_dims"], arrays)]
         weights = [
-            _float_array(flat, literals).reshape(dims[i + 1], dims[i])
+            _float_array(flat, arrays).reshape(dims[i + 1], dims[i])
             for i, flat in enumerate(payload["weights"])
         ]
-        biases = [_float_array(b, literals) for b in payload["biases"]]
+        biases = [_float_array(b, arrays) for b in payload["biases"]]
         return MlpNetwork(
             dims, weights, biases, payload["hidden_activation"], payload["output_activation"]
         )
@@ -209,17 +211,6 @@ def _net_from_payload(payload: dict, where: str, literals: list[bytes]) -> MlpNe
 # scan from the left finds each of them outside the strings.
 _STRING_OR_LIST = re.compile(rb'"[^"\\]*(?:\\.[^"\\]*)*"|\[([-+.0-9eE \t\n\r,]*)\]', re.DOTALL)
 
-# Such a list in character classes: brackets and commas to ",", nonzero
-# digits to "1", "E" to "e", whitespace to " ".  It is a JSON list of numbers
-# iff each "," but the last starts a JSON number followed by " *,"; this
-# matches a "," that does not.  The grammar's optional parts are spelled out
-# as branches, which the regex engine runs several times faster.
-_NUMBER_CLASSES = bytes.maketrans(b"23456789E[]\t\n\r", b"11111111e,,   ")
-_EXPONENT = rb"e[-+]?[01]+ *,"
-_NOT_A_NUMBER = re.compile(
-    rb",(?!\Z| *-?(?:0|1[01]*)(?: *,|\.[01]+(?: *,|%s)|%s))" % (_EXPONENT, _EXPONENT)
-)
-
 
 def _finite_float(literal: str) -> float:
     value = float(literal)
@@ -228,21 +219,32 @@ def _finite_float(literal: str) -> float:
     return value
 
 
-def _parse_lifted(text: bytes) -> tuple[object, list[bytes]]:
-    """Parse JSON with each list of numbers lifted out as its text, whitespace removed.
+def _parse_lifted(text: bytes) -> tuple[object, list[bytes], list[np.ndarray]]:
+    """Parse JSON with each list of numbers lifted out as its text and its values.
 
-    Each such list becomes ``[k]`` in the returned tree, ``k`` indexing the
-    returned texts; as every one is lifted, a list of one int in the tree is
-    always an index.  Non-finite numbers outside the lifted lists raise
-    ``ValueError``.
+    Each list that ``json`` reads as a nonempty list of numbers becomes
+    ``[k]`` in the returned tree, ``k`` indexing the returned texts (whitespace
+    removed) and float64 arrays; as every one is lifted, a list of one int in
+    the tree is always an index.  A list ``json`` refuses stays in place, so
+    the error is reported where it is in the file.  Non-finite numbers outside
+    the lifted lists raise ``ValueError``.
     """
     literals: list[bytes] = []
+    arrays: list[np.ndarray] = []
 
     def lift(match: re.Match) -> bytes:
         found = match.group(0)
-        if match.lastindex is None or _NOT_A_NUMBER.search(found.translate(_NUMBER_CLASSES)):
-            return found  # a string, an empty list, or invalid JSON for json to report
+        if match.lastindex is None:
+            return found  # a string
+        try:
+            # ints read as floats: "-0" keeps its sign, and a long one overflows to inf
+            values = json.loads(found, parse_int=float)
+        except ValueError:
+            return found  # invalid JSON, for json to report below
+        if not values:
+            return found  # an empty list stays a list
         literals.append(found.translate(None, b" \t\n\r"))
+        arrays.append(np.array(values, dtype=np.float64))
         return b"[%d]" % (len(literals) - 1)
 
     skeleton = _STRING_OR_LIST.sub(lift, text)
@@ -253,7 +255,7 @@ def _parse_lifted(text: bytes) -> tuple[object, list[bytes]]:
     except ValueError:
         json.loads(text)  # report a syntax error where it is in the file, not in the skeleton
         raise
-    return tree, literals
+    return tree, literals, arrays
 
 
 def _spelled(text: bytes, literals: list[bytes]) -> bytes:
@@ -266,13 +268,11 @@ def _checksum(tree, literals: list[bytes]) -> str:
     return hashlib.sha256(_spelled(canonical, literals)).hexdigest()
 
 
-def _float_array(node, literals: list[bytes]) -> np.ndarray:
-    """A lifted list of numbers as a float64 array, read by one numpy call."""
+def _float_array(node, arrays: list[np.ndarray]) -> np.ndarray:
+    """A lifted list of numbers as the float64 array ``json`` read it into."""
     if not (isinstance(node, list) and len(node) == 1 and type(node[0]) is int):
         raise ValueError("expected a list of numbers")
-    # checked as JSON numbers when lifted, so numpy reads every item; from str,
-    # it reads them twice as fast as from bytes
-    values = np.fromstring(literals[node[0]][1:-1].decode("ascii"), sep=",")
+    values = arrays[node[0]]
     if not np.isfinite(values).all():
         raise ValueError("number out of float64 range")
     return values
@@ -299,7 +299,8 @@ def save_model(
     except ValueError as exc:
         raise ValidationError(f"model contains non-finite numbers: {exc}") from exc
     # one encode: the checksum is read off this text, and spliced in before its closing "\n}"
-    checksum = _checksum(*_parse_lifted(text.encode("ascii")))
+    tree, literals, _ = _parse_lifted(text.encode("ascii"))
+    checksum = _checksum(tree, literals)
     _atomic_write_text(path, f'{text[:-2]},\n  "checksum": "{checksum}"\n}}\n')
 
 
@@ -307,12 +308,13 @@ def load_model(path: str) -> ModelBundle:
     """Load a model file, verifying version and checksum.
 
     Forward outputs of the restored model match the saved one exactly: the
-    JSON float representation is lossless.  Each weight and bias list is
-    read by one numpy call, with no Python float per number.
+    JSON float representation is lossless.  ``json`` reads each list of
+    numbers once, checking and parsing it in one pass, and the checksum reads
+    the lists' own text, so no float is re-encoded.
     """
     try:
         with open(path, "rb") as handle:
-            payload, literals = _parse_lifted(handle.read())
+            payload, literals, arrays = _parse_lifted(handle.read())
     except OSError as exc:
         raise ModelFormatError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
@@ -337,8 +339,8 @@ def load_model(path: str) -> ModelBundle:
         encoding = TimeEncoding.from_dict(payload["time_encoding"])
         model = SdeModel(
             dim=int(payload["dim"]),
-            drift_net=_net_from_payload(payload["drift_net"], path, literals),
-            diffusion_net=_net_from_payload(payload["diffusion_net"], path, literals),
+            drift_net=_net_from_payload(payload["drift_net"], path, arrays),
+            diffusion_net=_net_from_payload(payload["diffusion_net"], path, arrays),
             time_encoding=encoding,
         )
         history = [

@@ -16,6 +16,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import embsde
+from embsde import cli
 from embsde.cli import build_parser, main
 from embsde.cli_io import (
     load_model,
@@ -70,6 +71,32 @@ class TestArgumentHandling:
             main(["simulate", "--model", model, "--init", "a", "--init-vec", str(vec),
                   "--steps", "3", "--out", out])
         assert info.value.code == 1
+
+    def test_calls_in_a_row_parse_independently(self, tmp_path):
+        # main reuses one parser: flags and defaults of one call must not reach the next
+        def synth(name, *flags):
+            path = tmp_path / name
+            assert main(["synth-ou", "--out", str(path), "--n-traj", "3", "--steps", "4",
+                         *flags]) == 0
+            return path.read_bytes()
+
+        with pytest.raises(SystemExit):
+            main(["synth-ou", "--out", str(tmp_path / "x.jsonl"), "--dim", "2", "--nope"])
+        plain = synth("plain.jsonl")
+        flagged = synth("flagged.jsonl", "--dim", "2", "--seed", "9", "--a", "-3")
+        assert synth("again.jsonl") == plain != flagged
+        assert synth("flagged-again.jsonl", "--dim", "2", "--seed", "9", "--a", "-3") == flagged
+        assert len(json.loads(plain.splitlines()[0])["embeddings"][0]) == 1
+        assert len(json.loads(flagged.splitlines()[0])["embeddings"][0]) == 2
+
+    def test_handler_replaced_after_the_first_call_is_the_one_run(self, tmp_path, monkeypatch):
+        # tools that wrap the module's handlers (the benchmark's tracer) see every call
+        data = _synth(tmp_path)
+        seen = []
+        original = cli.cmd_importance
+        monkeypatch.setattr(cli, "cmd_importance", lambda args: seen.append(args) or original(args))
+        assert main(["importance", "--data", data, "--out", str(tmp_path / "i.csv")]) == 0
+        assert [args.data for args in seen] == [data]
 
 
 class TestIoErrors:

@@ -451,22 +451,26 @@ class TestModelFileLiterals:
             with pytest.raises(ValueError):
                 _parse_lifted(text.encode())
             return
-        tree, literals = _parse_lifted(text.encode())
+        tree, literals, arrays = _parse_lifted(text.encode())
         if not expected:
-            assert (tree, literals) == ([], [])
+            assert (tree, literals, arrays) == ([], [], [])
             return
-        assert tree == [0] and len(literals) == 1
+        assert tree == [0] and len(literals) == len(arrays) == 1
         assert literals[0] == "".join(text.split()).encode()
-        if all(math.isfinite(v) for v in expected):
-            assert json.loads(literals[0]) == expected
-            items = literals[0][1:-1]
-            read = np.fromstring(items.decode(), sep=",")
-            floats = np.array([float(item) for item in items.split(b",")])
-            assert_array_equal(read.view(np.uint64), floats.view(np.uint64))
+        assert json.loads(literals[0]) == expected
+        floats = np.array([float(item) for item in literals[0][1:-1].split(b",")])
+        assert arrays[0].dtype == np.float64
+        assert_array_equal(arrays[0].view(np.uint64), floats.view(np.uint64))
+
+    def test_lifted_zeros_keep_their_sign(self):
+        _, _, arrays = _parse_lifted(b"[-0, 0]")
+        assert arrays[0].view(np.uint64).tolist() == [1 << 63, 0]
 
     def test_load_memory_stays_near_the_file_size(self, tmp_path):
-        # no Python float per weight: the traced peak is a small multiple of
-        # the text, where one object per float would need about 4.7x
+        # json makes a Python float per weight, but one list at a time, each
+        # turned into an array before the next: the traced peak stays a small
+        # multiple of the text (about 2.5x), where keeping a float object per
+        # weight alive would need about 4.7x
         stream = RngStream(3)
         encoding = TimeEncoding()
         dims = [256 + encoding.width, 32, 256]
@@ -504,6 +508,9 @@ class TestMalformedModelNumbers:
         (lambda p, v: p.__setitem__("training_config", {"lr": v}), "1e999"),
         (lambda p, v: p.__setitem__("training_config", {"lrs": [v]}), "1e999"),
         (lambda p, v: p["loss_history"].append(v), "NaN"),
+        # an integer literal beyond float64 range, where a Python int would not overflow
+        (_first_weight, "1" * 400),
+        (lambda p, v: p["drift_net"]["layer_dims"].__setitem__(0, v), "1" * 400),
     ])
     def test_bad_number_raises_model_format_error(self, tmp_path, document, place, literal):
         path = tmp_path / "bad.json"
