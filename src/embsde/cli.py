@@ -22,6 +22,7 @@ import numpy as np
 
 from .cli_io import (
     load_model,
+    load_start_vector,
     load_trajectories,
     save_model,
     save_trajectories,
@@ -79,18 +80,6 @@ def _parse_oracle(text: str) -> LinearSdeSpec:
     except ValueError as exc:
         raise ValidationError(f"--oracle expects two numbers: {exc}") from exc
     return LinearSdeSpec(a=a, b=b, dim=1)
-
-
-def _load_init_vector(path: str, dim: int) -> np.ndarray:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"cannot read start vector from {path}: {exc}") from exc
-    vec = np.asarray(data, dtype=np.float64)
-    if vec.shape != (dim,):
-        raise ValidationError(f"start vector in {path} has shape {vec.shape}, model dim {dim}")
-    return vec
 
 
 def _load_nonempty(path: str, purpose: str = "") -> list:
@@ -170,7 +159,7 @@ def cmd_simulate(args) -> int:
     if args.init is not None:
         x0 = toy_embed(args.init, model.dim).states.mean(axis=0)
     else:
-        x0 = _load_init_vector(args.init_vec, model.dim)
+        x0 = load_start_vector(args.init_vec, model.dim)
     trajectory = simulate(model, x0, n_steps=args.steps, dt=args.dt, seed=args.seed)
     save_trajectories(args.out, [trajectory], ids=["simulated-0"])
     print(f"wrote {args.out}: {len(trajectory)} states, dt={args.dt}, seed={args.seed}")

@@ -101,29 +101,57 @@ def _trajectory_from_record(record, where: str) -> EmbeddingTrajectory:
     if "id" in record and not isinstance(record["id"], str):
         raise DataFormatError(f"{where}: id must be a string")
     embeddings = record.get("embeddings")
-    if not isinstance(embeddings, list) or not embeddings:
+    if not isinstance(embeddings, list):
         raise DataFormatError(f"{where}: embeddings must be a nonempty array")
-    try:
-        states = np.asarray(embeddings, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise DataFormatError(f"{where}: embeddings are not a numeric matrix ({exc})") from exc
+    states = _finite_array(embeddings, where, "embeddings")
     if states.ndim != 2:
         raise DataFormatError(f"{where}: embeddings rows have inconsistent lengths")
-    if not np.all(np.isfinite(states)):
-        raise DataFormatError(f"{where}: embeddings contain non-finite values")
     times = record.get("times")
     if times is None:
         times = np.arange(states.shape[0], dtype=np.float64)
+    else:
+        times = _number_array(times, where, "times")  # EmbeddingTrajectory checks the values
     tokens = record.get("tokens")
     if tokens is not None and not (
         isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)
     ):
         raise DataFormatError(f"{where}: tokens must be an array of strings")
     try:
-        return EmbeddingTrajectory(states=states, times=np.asarray(times, dtype=np.float64),
-                                   tokens=tokens)
-    except (ValidationError, ValueError) as exc:
+        return EmbeddingTrajectory(states=states, times=times, tokens=tokens)
+    except ValidationError as exc:
         raise DataFormatError(f"{where}: {exc}") from exc
+
+
+def _number_array(value, where: str, what: str) -> np.ndarray:
+    """``value`` parsed from JSON as a float64 array; whatever float64 conversion accepts
+    (numeric strings and booleans too) gets through, the rest is a ``DataFormatError``."""
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:  # objects, ragged rows, huge ints
+        raise DataFormatError(f"{where}: {what} must be an array of numbers ({exc})") from exc
+
+
+def _finite_array(value, where: str, what: str) -> np.ndarray:
+    """:func:`_number_array`, refused when empty or holding a non-finite value."""
+    array = _number_array(value, where, what)
+    if array.size == 0:
+        raise DataFormatError(f"{where}: {what} must not be empty")
+    if not np.isfinite(array).all():  # null reads as NaN
+        raise DataFormatError(f"{where}: {what} contain non-finite values")
+    return array
+
+
+def load_start_vector(path: str, dim: int) -> np.ndarray:
+    """The start state in ``path``: a JSON array of ``dim`` finite numbers."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            data = json.load(handle)
+    except (OSError, ValueError) as exc:  # ValueError: invalid JSON or UTF-8
+        raise ValidationError(f"cannot read start vector from {path}: {exc}") from exc
+    vec = _finite_array(data, f"start vector in {path}", "its entries")
+    if vec.shape != (dim,):
+        raise ValidationError(f"start vector in {path} has shape {vec.shape}, model dim {dim}")
+    return vec
 
 
 def save_trajectories(
@@ -336,6 +364,8 @@ def load_model(path: str) -> ModelBundle:
         raise ModelFormatError(f"{path}: checksum mismatch (file corrupt or edited)")
 
     try:
+        if not isinstance(payload["time_encoding"], dict):
+            raise TypeError("time_encoding must be an object")
         encoding = TimeEncoding.from_dict(payload["time_encoding"])
         model = SdeModel(
             dim=int(payload["dim"]),

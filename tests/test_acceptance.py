@@ -5,11 +5,17 @@ with the measured quantities, then asserts.  Run with ``pytest
 tests/test_acceptance.py -s`` to see every verdict; without ``-s`` pytest
 still surfaces the lines for failing checks.  Tolerances live next to the
 measurements they bound.
+
+The stochastic criteria 02-05 measure and judge in module-level functions,
+one per criterion, that return each judged quantity as a :class:`Part` and
+the verdict text.  ``tools/seed_sweep.py`` calls the same functions at other
+seeds, so the sweep reports exactly the rules these tests apply.
 """
 
 import json
 import math
 import time
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -57,18 +63,42 @@ OU_CONFIG = TrainingConfig(
 )
 
 
+class Part(NamedTuple):
+    """One quantity of a criterion, judged by the criterion's own comparison (strict for an
+    upper limit, inclusive for an interval); ``margin`` is its distance to the nearest bound,
+    negative on the failing side."""
+
+    name: str
+    value: float
+    ok: bool
+    margin: float
+
+
+def _below(name: str, value: float, high: float) -> Part:
+    return Part(name, value, value < high, high - value)
+
+
+def _within(name: str, value: float, low: float, high: float) -> Part:
+    return Part(name, value, low <= value <= high, min(value - low, high - value))
+
+
 def _report(num: int, name: str, ok: bool, detail: str) -> None:
     verdict = "PASS" if ok else "FAIL"
     print(f"[{verdict}] criterion {num:02d} {name}: {detail}")
     assert ok, f"criterion {num} {name}: {detail}"
 
 
+def ou_fit(data_seed: int, config: TrainingConfig):
+    """The OU dataset of criteria 02-03 and the model ``fit`` trains on it."""
+    data = sample_linear_trajectories(OU, 2000, 50, 0.02, seed=data_seed)
+    return (data, *fit(data, config))
+
+
 @pytest.fixture(scope="module")
 def ou_run():
     """OU dataset and trained model shared by the recovery and loss checks."""
     start = time.perf_counter()
-    data = sample_linear_trajectories(OU, 2000, 50, 0.02, seed=20240)
-    model, records = fit(data, OU_CONFIG)
+    data, model, records = ou_fit(20240, OU_CONFIG)
     return data, model, records, time.perf_counter() - start
 
 
@@ -95,6 +125,69 @@ def _epoch0_train_total(data, config):
 def _training_lowered_loss(epoch0_total, train_totals):
     """Criterion 03's rule: the final train total lies below the untrained model's."""
     return train_totals[-1] < epoch0_total
+
+
+def criterion_02_parts(model) -> tuple[list[Part], str]:
+    """Drift MAE against mu(x) = -x and mean sigma, on 41 states at t = 0.5."""
+    grid = np.linspace(-2.0, 2.0, 41)[:, None]
+    ts = np.full(41, 0.5)
+    drift_mae = float(np.mean(np.abs(model.drift(grid, ts) - (-grid))))
+    sigma_avg = float(np.mean(model.diffusion(grid, ts)))
+    mae_max, sigma_low, sigma_high = 0.15, 0.375, 0.625
+    parts = [_below("drift MAE", drift_mae, mae_max),
+             _within("sigma avg", sigma_avg, sigma_low, sigma_high)]
+    return parts, (f"drift MAE {drift_mae:.4f} (need < {mae_max}), sigma avg {sigma_avg:.4f} "
+                   f"(need within [{sigma_low}, {sigma_high}])")
+
+
+def criterion_03_parts(data, records, config: TrainingConfig) -> tuple[list[Part], str]:
+    """The fit lowers the train total below epoch 0's; val/train near 1 at the best epoch."""
+    train = {r.epoch: r.total for r in records if r.split == "train"}
+    val = {r.epoch: r.total for r in records if r.split == "validation"}
+    epoch0 = _epoch0_train_total(data, config)
+    final = train[max(train)]
+    lowered = _training_lowered_loss(epoch0, [train[e] for e in sorted(train)])
+    best_epoch = min(val, key=val.get)
+    ratio = val[best_epoch] / train[best_epoch]
+    ratio_low, ratio_high = 0.5, 2.0
+    parts = [Part("epoch-0 minus final train total", epoch0 - final, lowered, epoch0 - final),
+             _within("val/train at best epoch", ratio, ratio_low, ratio_high)]
+    return parts, (f"train total {epoch0:.4f} at epoch 0 -> {train[min(train)]:.4f} at epoch 1 "
+                   f"-> {final:.4f} (need final < epoch 0), val/train at best epoch "
+                   f"{ratio:.3f} (need within [{ratio_low:g}, {ratio_high:g}])")
+
+
+def criterion_04_parts(seed: int) -> tuple[list[Part], str]:
+    """Monte Carlo moments of the exact OU model from x0 = 1 against the analytic ones."""
+    report = moment_monte_carlo(linear_sde_model(OU), x0_mean=1.0, x0_var=0.0,
+                                t_grid=np.linspace(0.0, 2.0, 401), n_paths=10_000, seed=seed,
+                                reference=OU)
+    i1, i2 = 200, 400  # t = 1 and t = 2 on the 0.005 grid
+    se = math.sqrt(report.var_mc[i1] / report.n_paths)
+    mean_err = abs(float(report.mean_mc[i1]) - math.exp(-1.0))
+    se_max, var_max, kurtosis_low, kurtosis_high = 3.0, 0.10, 2.5, 3.5
+    mean = Part("mean error in SE", mean_err / se, mean_err < se_max * se, se_max - mean_err / se)
+    var_rel = abs(float(report.var_mc[i2] - report.var_ode[i2])) / float(report.var_ode[i2])
+    m, v = float(report.mean_mc[i2]), float(report.var_mc[i2])
+    e3, e4 = float(report.higher_moments_mc[3][i2]), float(report.higher_moments_mc[4][i2])
+    kurtosis = (e4 - 4 * m * e3 + 6 * m * m * (v + m * m) - 3 * m**4) / v**2
+    parts = [mean, _below("var rel error", var_rel, var_max),
+             _within("kurtosis", kurtosis, kurtosis_low, kurtosis_high)]
+    return parts, (f"mean err {mean_err:.5f} = {mean_err / se:.2f} SE (need < {se_max:g}), "
+                   f"var rel err {var_rel:.4f} (need < {var_max:.2f}), kurtosis {kurtosis:.3f} "
+                   f"(need in [{kurtosis_low}, {kurtosis_high}])")
+
+
+def criterion_05_parts(seed: int) -> tuple[list[Part], str]:
+    """Log-log slope of the weak error of E[X_1] over three steps, exact OU model."""
+    dts = [0.1, 0.05, 0.025]
+    errors = [abs(float(simulate_ensemble(linear_sde_model(OU), np.array([1.0]), 100_000,
+                                          round(1.0 / dt), dt, seed=seed)[:, -1, 0].mean())
+                  - math.exp(-1.0)) for dt in dts]
+    slope = float(np.polyfit(np.log(dts), np.log(errors), 1)[0])
+    order, tolerance = 1.0, 0.4
+    return ([_within("weak-order slope", slope, order - tolerance, order + tolerance)],
+            f"log-log slope {slope:.3f} over dt {dts} (need {order} +/- {tolerance})")
 
 
 def test_criterion_01_gradient_correctness():
@@ -140,31 +233,15 @@ def test_criterion_01_gradient_correctness():
 
 def test_criterion_02_ou_drift_recovery(ou_run):
     _, model, _, elapsed = ou_run
-    grid = np.linspace(-2.0, 2.0, 41)[:, None]
-    ts = np.full(41, 0.5)
-    drift_mae = float(np.mean(np.abs(model.drift(grid, ts) - (-grid))))
-    sigma_avg = float(np.mean(model.diffusion(grid, ts)))
-    ok = drift_mae < 0.15 and 0.375 <= sigma_avg <= 0.625 and elapsed < 300.0
-    _report(2, "OU drift recovery", ok,
-            f"drift MAE {drift_mae:.4f} (need < 0.15), sigma avg {sigma_avg:.4f} "
-            f"(need within [0.375, 0.625]), data+fit {elapsed:.1f}s (need < 300s)")
+    parts, detail = criterion_02_parts(model)
+    ok = all(part.ok for part in parts) and elapsed < 300.0
+    _report(2, "OU drift recovery", ok, f"{detail}, data+fit {elapsed:.1f}s (need < 300s)")
 
 
 def test_criterion_03_loss_curve_shape(ou_run):
     data, _, records, _ = ou_run
-    train = {r.epoch: r.total for r in records if r.split == "train"}
-    val = {r.epoch: r.total for r in records if r.split == "validation"}
-    epoch0 = _epoch0_train_total(data, OU_CONFIG)
-    final = train[max(train)]
-    lowered = _training_lowered_loss(epoch0, [train[e] for e in sorted(train)])
-    best_epoch = min(val, key=val.get)
-    ratio = val[best_epoch] / train[best_epoch]
-    matched = 0.5 <= ratio <= 2.0
-    ok = lowered and matched
-    _report(3, "loss-curve shape", ok,
-            f"train total {epoch0:.4f} at epoch 0 -> {train[min(train)]:.4f} at epoch 1 -> "
-            f"{final:.4f} (need final < epoch 0), "
-            f"val/train at best epoch {ratio:.3f} (need within [0.5, 2])")
+    parts, detail = criterion_03_parts(data, records, OU_CONFIG)
+    _report(3, "loss-curve shape", all(part.ok for part in parts), detail)
 
 
 def test_criterion_03_rule_fails_a_rising_curve():
@@ -176,48 +253,15 @@ def test_criterion_03_rule_fails_a_rising_curve():
 
 def test_criterion_04_moment_consistency():
     start = time.perf_counter()
-    model = linear_sde_model(OU)
-    t_grid = np.linspace(0.0, 2.0, 401)
-    report = moment_monte_carlo(model, x0_mean=1.0, x0_var=0.0, t_grid=t_grid,
-                                n_paths=10_000, seed=2026, reference=OU)
-    i1, i2 = 200, 400  # t = 1 and t = 2 on the 0.005 grid
-
-    se = math.sqrt(report.var_mc[i1] / report.n_paths)
-    mean_err = abs(float(report.mean_mc[i1]) - math.exp(-1.0))
-    mean_ok = mean_err < 3.0 * se
-
-    var_rel = abs(float(report.var_mc[i2] - report.var_ode[i2])) / float(report.var_ode[i2])
-    var_ok = var_rel < 0.10
-
-    m, v = float(report.mean_mc[i2]), float(report.var_mc[i2])
-    e2 = v + m * m
-    e3 = float(report.higher_moments_mc[3][i2])
-    e4 = float(report.higher_moments_mc[4][i2])
-    mu4 = e4 - 4 * m * e3 + 6 * m * m * e2 - 3 * m**4
-    kurtosis = mu4 / v**2
-    kurt_ok = 2.5 <= kurtosis <= 3.5
-
+    parts, detail = criterion_04_parts(2026)
     elapsed = time.perf_counter() - start
-    ok = mean_ok and var_ok and kurt_ok and elapsed < 60.0
-    _report(4, "moment consistency", ok,
-            f"mean err {mean_err:.5f} = {mean_err / se:.2f} SE (need < 3), "
-            f"var rel err {var_rel:.4f} (need < 0.10), kurtosis {kurtosis:.3f} "
-            f"(need in [2.5, 3.5]), {elapsed:.1f}s (need < 60s)")
+    ok = all(part.ok for part in parts) and elapsed < 60.0
+    _report(4, "moment consistency", ok, f"{detail}, {elapsed:.1f}s (need < 60s)")
 
 
 def test_criterion_05_weak_order():
-    model = linear_sde_model(OU)
-    x0 = np.array([1.0])
-    dts = [0.1, 0.05, 0.025]
-    errors = []
-    for dt in dts:
-        ens = simulate_ensemble(model, x0, n_paths=100_000,
-                                n_steps=round(1.0 / dt), dt=dt, seed=314)
-        errors.append(abs(float(ens[:, -1, 0].mean()) - math.exp(-1.0)))
-    slope = float(np.polyfit(np.log(dts), np.log(errors), 1)[0])
-    ok = 0.6 <= slope <= 1.4
-    _report(5, "Euler-Maruyama weak order", ok,
-            f"log-log slope {slope:.3f} over dt {dts} (need 1.0 +/- 0.4)")
+    parts, detail = criterion_05_parts(314)
+    _report(5, "Euler-Maruyama weak order", all(part.ok for part in parts), detail)
 
 
 def test_criterion_07_lyapunov_check():

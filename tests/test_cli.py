@@ -201,14 +201,27 @@ class TestSimulate:
         (traj,) = load_trajectories(out)
         assert_array_equal(traj.states[0], [0.5, -0.25])
 
-    def test_init_vec_wrong_length_exits_1(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text, says", [
+        (b"[0.5]", "model dim 2"),
+        (b'["a", 1]', "must be an array of numbers"),
+        (b"[{}, 1]", "must be an array of numbers"),
+        (b"[1, 1" + b"0" * 400 + b"]", "must be an array of numbers"),
+        (b"[1, NaN]", "non-finite"),
+        (b"[1, Infinity]", "non-finite"),
+        (b"[1, 1e400]", "non-finite"),
+        (b"[1, null]", "non-finite"),
+        (b'["\xff"]', "cannot read"),
+    ], ids=["short", "string", "object", "huge-int", "nan", "inf", "1e400", "null", "not-utf-8"])
+    def test_bad_init_vec_exits_1(self, tmp_path, capsys, text, says):
         model = _linear_model(tmp_path, dim=2)
         vec = tmp_path / "v.json"
-        vec.write_text("[0.5]")
+        vec.write_bytes(text)
         rc = main(["simulate", "--model", model, "--init-vec", str(vec),
                    "--steps", "2", "--out", str(tmp_path / "t.jsonl")])
+        err = capsys.readouterr().err
         assert rc == 1
-        assert "model dim 2" in capsys.readouterr().err
+        assert err.startswith("embsde: error: ") and err.count("\n") == 1
+        assert str(vec) in err and says in err
 
     def test_blowup_exits_2(self, tmp_path, capsys):
         model = _linear_model(tmp_path, a=50.0, b=0.0, dim=1)
@@ -599,13 +612,6 @@ class TestConsoleEntry:
         assert "frobnicate" in proc.stderr  # the CLI ran and rejected the subcommand
 
 
-def _readme_block(heading: str, language: str) -> str:
-    """The first ``language`` code block under ``heading`` in the README."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    section = readme.split(heading, 1)[1]
-    return section.split(f"```{language}\n", 1)[1].split("```", 1)[0]
-
-
 class TestReadmeWalkthrough:
     def test_every_command_exits_0(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -625,7 +631,7 @@ class TestReadmeWalkthrough:
 
 class TestReadmeQuickStart:
     def test_runs_as_written_and_prints_a_finite_drift(self, capsys):
-        code = _readme_block("## Library quick start", "python")
+        code = _equivalence_tool().readme_block("## Library quick start", "python")
         exec(compile(code, "README.md", "exec"), {"__name__": "quick_start"})
         lines = capsys.readouterr().out.splitlines()
         # the first print is the drift at five states, one row per line

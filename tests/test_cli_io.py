@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from embsde.cli_io import (
+    _checksum,
     _parse_lifted,
     load_model,
     load_trajectories,
@@ -110,13 +111,24 @@ class TestTrajectoryRoundTrip:
     def test_ragged_rows_rejected(self, tmp_path):
         path = tmp_path / "data.jsonl"
         path.write_text('{"embeddings": [[1.0, 2.0], [3.0]]}\n')
-        with pytest.raises(DataFormatError, match="line 1"):
+        with pytest.raises(DataFormatError, match="line 1: embeddings must be an array of numbers"):
             load_trajectories(str(path))
 
-    def test_nonfinite_rejected(self, tmp_path):
+    @pytest.mark.parametrize("record", [
+        '{"embeddings": [[1.0], [NaN]]}',
+        '{"embeddings": [[1.0], [2.0]], "times": {"a": 1}}',
+        '{"embeddings": [[1.0], [2.0]], "times": [{}, 1]}',
+        '{"embeddings": [[1.0], [2.0]], "times": [0, 1%s]}' % ("0" * 400),
+        '{"embeddings": [[1.0], [1%s]]}' % ("0" * 400),
+        '{"embeddings": [[], []]}',
+        '{"embeddings": [[1.0], [2.0]], "times": [0, NaN]}',
+        '{"embeddings": [[1.0], [2.0]], "times": []}',
+    ], ids=["nan", "times-object", "times-object-item", "times-huge-int", "huge-int", "dim-0",
+            "times-nan", "times-empty"])
+    def test_values_that_are_not_finite_numbers_rejected(self, tmp_path, record):
         path = tmp_path / "data.jsonl"
-        path.write_text('{"embeddings": [[1.0], [NaN]]}\n')
-        with pytest.raises(DataFormatError, match="line 1"):
+        path.write_text("\n" + record + "\n")
+        with pytest.raises(DataFormatError, match="line 2"):
             load_trajectories(str(path))
 
     def test_tokens_must_be_strings(self, tmp_path):
@@ -266,6 +278,19 @@ class TestModelPersistence:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ModelFormatError, match="cannot read"):
             load_model(str(tmp_path / "absent.json"))
+
+    @pytest.mark.parametrize("encoding", ["none", [1.0, 2.0], None])
+    def test_time_encoding_must_be_an_object(self, tmp_path, encoding):
+        path = tmp_path / "model.json"
+        save_model(str(path), _random_model())
+        document = json.loads(path.read_text())
+        del document["checksum"]
+        document["time_encoding"] = encoding
+        tree, literals, _ = _parse_lifted(json.dumps(document).encode())
+        document["checksum"] = _checksum(tree, literals)
+        path.write_text(json.dumps(document))
+        with pytest.raises(ModelFormatError, match=re.escape(str(path))):
+            load_model(str(path))
 
     def test_nonfinite_weights_rejected_on_save(self, tmp_path):
         model = _random_model()

@@ -107,11 +107,15 @@ REFUSALS = [
 ]
 
 
+def readme_block(heading: str, language: str) -> str:
+    """The first ``language`` code block under ``heading`` in the README."""
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split(heading, 1)[1]
+    return section.split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
 def readme_walkthrough() -> list[str]:
     """The shell lines of the README's CLI walkthrough, continuations joined."""
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    block = readme.split("## CLI walkthrough", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
-    lines = block.replace("\\\n", " ").splitlines()
+    lines = readme_block("## CLI walkthrough", "sh").replace("\\\n", " ").splitlines()
     return [line.strip() for line in lines if line.strip() and not line.lstrip().startswith("#")]
 
 
