@@ -37,6 +37,7 @@ from .cli_io import (
     _trajectory_record,
 )
 from .diagnostics import (
+    check_path_count,
     compare_trajectories,
     drift_vector_field,
     estimate_regularity,
@@ -47,7 +48,13 @@ from .diagnostics import (
 )
 from .errors import DimensionMismatchError, EmbsdeError, NumericalError, ValidationError
 from .estimation import TrainingConfig, fit
-from .sde_model import LinearSdeSpec, generate_answer, sample_linear_trajectories, simulate
+from .sde_model import (
+    TIME_ENCODING_KINDS,
+    LinearSdeSpec,
+    generate_answer,
+    sample_linear_trajectories,
+    simulate,
+)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -187,8 +194,7 @@ def cmd_diagnose(args) -> int:
     _check_probe_time(args.t)
     if args.probes < 2:
         raise ValidationError(f"--probes must be at least 2, got {args.probes}")
-    if args.paths < 100:  # moment_monte_carlo's rule and message, checked with or without --oracle
-        raise ValidationError(f"need at least 100 paths, got {args.paths}")
+    check_path_count(args.paths)  # moment_monte_carlo's rule, checked with or without --oracle
     model = load_model(args.model).model
     trajectories = _load_nonempty(args.data, " to diagnose against")
     reference = None if args.oracle is None else _parse_oracle(args.oracle)
@@ -217,11 +223,7 @@ def cmd_diagnose(args) -> int:
             reference=reference,
         )
     summary = {
-        "regularity": {
-            "lipschitz_k": regularity.lipschitz_k,
-            "growth_c": regularity.growth_c,
-            "n_probe_pairs": regularity.n_probe_pairs,
-        },
+        "regularity": asdict(regularity),
         "lyapunov": {
             "max_generator": lyapunov.max_generator,
             "stable": lyapunov.stable_flag,
@@ -298,25 +300,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=30)
     p.add_argument("--dt", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(handler="cmd_synth_ou")
 
     p = sub.add_parser("train", help="fit drift and diffusion networks to a JSONL dataset")
+    config = TrainingConfig()  # the library's defaults are the flags' defaults
     p.add_argument("--data", required=True)
     p.add_argument("--out")
-    p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--lr", type=float, default=0.05)
-    p.add_argument("--batch", type=int, default=256)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--epochs", type=int, default=config.epochs)
+    p.add_argument("--lr", type=float, default=config.learning_rate)
+    p.add_argument("--batch", type=int, default=config.batch_size)
+    p.add_argument("--seed", type=int, default=config.seed)
     p.add_argument("--dim-check", action="store_true",
                    help="validate the data file and report shapes without training")
-    p.add_argument("--val-frac", type=float, default=0.0)
-    p.add_argument("--drift-weight", type=float, default=1.0)
-    p.add_argument("--diffusion-weight", type=float, default=1.0)
-    p.add_argument("--grad-clip", type=float, default=None)
-    p.add_argument("--hidden", default="32", help="comma-separated hidden widths")
-    p.add_argument("--time-encoding", default="scalar_normalized",
-                   choices=["none", "scalar_normalized", "sinusoidal"])
-    p.set_defaults(handler="cmd_train")
+    p.add_argument("--val-frac", type=float, default=config.validation_fraction)
+    p.add_argument("--drift-weight", type=float, default=config.drift_weight)
+    p.add_argument("--diffusion-weight", type=float, default=config.diffusion_weight)
+    p.add_argument("--grad-clip", type=float, default=config.grad_clip)
+    p.add_argument("--hidden", default=",".join(map(str, config.hidden_dims)),
+                   help="comma-separated hidden widths")
+    p.add_argument("--time-encoding", default=config.time_encoding_kind,
+                   choices=TIME_ENCODING_KINDS)
 
     p = sub.add_parser("simulate", help="integrate one path from a start state")
     p.add_argument("--model", required=True)
@@ -327,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(handler="cmd_simulate")
 
     p = sub.add_parser("answer", help="generate an answer trajectory from a question")
     p.add_argument("--model", required=True)
@@ -336,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="JSONL path; omitted prints the record to stdout")
-    p.set_defaults(handler="cmd_answer")
 
     p = sub.add_parser("diagnose", help="regularity, stability, and moment checks")
     p.add_argument("--model", required=True)
@@ -347,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paths", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--t", type=float, default=0.0, help="time at which fields are probed")
-    p.set_defaults(handler="cmd_diagnose")
 
     p = sub.add_parser("field", help="drift vector field on the data's PCA plane")
     p.add_argument("--model", required=True)
@@ -355,17 +354,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--res", type=int, default=20)
     p.add_argument("--out", required=True)
     p.add_argument("--t", type=float, default=0.0)
-    p.set_defaults(handler="cmd_field")
 
     p = sub.add_parser("importance", help="per-token embedding norms")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(handler="cmd_importance")
 
     p = sub.add_parser("losses", help="export a trained model's loss history")
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(handler="cmd_losses")
     return parser
 
 
@@ -386,7 +382,7 @@ def main(argv=None) -> int:
             return EXIT_VALIDATION
     try:
         # by name at call time: the parser outlives a wrapper (a tracer's) put on the module later
-        return globals()[args.handler](args)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except NumericalError as exc:
         print(f"embsde: numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

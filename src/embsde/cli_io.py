@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -39,6 +40,8 @@ from .numeric_core import _GAMMA, _mix64, _words_to_unit
 from .sde_model import EmbeddingTrajectory, SdeModel, TimeEncoding
 
 FORMAT_VERSION = 1
+# what json.loads makes of a JSON number or null; bool is a subclass of int, not in this set
+_JSON_NUMBER_TYPES = frozenset((int, float, type(None)))
 
 
 def _atomic_write_text(path: str, text: str) -> None:
@@ -123,12 +126,25 @@ def _trajectory_from_record(record, where: str) -> EmbeddingTrajectory:
 
 
 def _number_array(value, where: str, what: str) -> np.ndarray:
-    """``value`` parsed from JSON as a float64 array; whatever float64 conversion accepts
-    (numeric strings and booleans too) gets through, the rest is a ``DataFormatError``."""
+    """``value`` parsed from JSON as a float64 array of JSON numbers.
+
+    ``null`` reads as NaN, which :func:`_finite_array` refuses as non-finite.
+    Strings, even ones that spell a number, and booleans are a
+    ``DataFormatError``, as is whatever float64 conversion refuses.
+    """
     try:
-        return np.asarray(value, dtype=np.float64)
+        array = np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:  # objects, ragged rows, huge ints
         raise DataFormatError(f"{where}: {what} must be an array of numbers ({exc})") from exc
+    # the conversion took "1.5" and True as numbers; the items' own types tell them apart
+    items = value if array.ndim else [value]
+    for _ in range(array.ndim - 1):
+        items = itertools.chain.from_iterable(items)
+    if not set(map(type, items)) <= _JSON_NUMBER_TYPES:
+        raise DataFormatError(
+            f"{where}: {what} must be an array of numbers, not strings or booleans"
+        )
+    return array
 
 
 def _finite_array(value, where: str, what: str) -> np.ndarray:
@@ -316,7 +332,7 @@ def save_model(
     payload = {
         "format_version": FORMAT_VERSION,
         "dim": model.dim,
-        "time_encoding": model.time_encoding.to_dict(),
+        "time_encoding": asdict(model.time_encoding),
         "drift_net": _net_payload(model.drift_net),
         "diffusion_net": _net_payload(model.diffusion_net),
         "training_config": training_config,

@@ -177,6 +177,12 @@ def moment_ode_solve(
     return mean, var
 
 
+def check_path_count(n_paths: int) -> None:
+    """Refuse a Monte Carlo moment run on fewer than 100 paths."""
+    if n_paths < 100:
+        raise ValidationError(f"need at least 100 paths, got {n_paths}")
+
+
 def moment_monte_carlo(
     model: SdeModel,
     x0_mean: float,
@@ -195,8 +201,7 @@ def moment_monte_carlo(
     """
     if model.dim != 1:
         raise ValidationError("moment analysis is defined for scalar models only")
-    if n_paths < 100:
-        raise ValidationError(f"need at least 100 paths, got {n_paths}")
+    check_path_count(n_paths)
     if x0_var < 0.0:
         raise ValidationError(f"x0_var must be nonnegative, got {x0_var}")
     t = np.asarray(t_grid, dtype=np.float64)

@@ -187,6 +187,28 @@ def split_by_trajectory(
     return train, val
 
 
+def _fit_start(trajectories: list[EmbeddingTrajectory], config: TrainingConfig):
+    """:func:`fit`'s start: untrained model, the stream it then shuffles with, train/val split.
+
+    ``RngStream(config.seed)`` draws the split, then the drift and diffusion Glorot weights.
+    """
+    if not trajectories:
+        raise ValidationError("no trajectories given")
+    dim = _check_dims(trajectories)
+    rng = RngStream(config.seed)
+    train_trajs, val_trajs = split_by_trajectory(trajectories, config.validation_fraction, rng)
+    t_max = max(float(traj.times[-1]) for traj in trajectories)
+    encoding = TimeEncoding(
+        kind=config.time_encoding_kind,
+        horizon=t_max if t_max > 0.0 else 1.0,
+        n_pairs=config.time_encoding_pairs,
+    )
+    layer_dims = [dim + encoding.width, *config.hidden_dims, dim]
+    drift_net = glorot_init(layer_dims, rng, config.hidden_activation, "identity")
+    diffusion_net = glorot_init(layer_dims, rng, config.hidden_activation, "softplus")
+    return SdeModel(dim, drift_net, diffusion_net, encoding), rng, train_trajs, val_trajs
+
+
 def fit(
     trajectories: list[EmbeddingTrajectory],
     config: TrainingConfig | None = None,
@@ -199,22 +221,8 @@ def fit(
     last epoch that was still finite) when a loss stops being finite.
     """
     config = config if config is not None else TrainingConfig()
-    if not trajectories:
-        raise ValidationError("no trajectories given")
-    dim = _check_dims(trajectories)
-
-    rng = RngStream(config.seed)
-    train_trajs, val_trajs = split_by_trajectory(trajectories, config.validation_fraction, rng)
-    t_max = max(float(traj.times[-1]) for traj in trajectories)
-    encoding = TimeEncoding(
-        kind=config.time_encoding_kind,
-        horizon=t_max if t_max > 0.0 else 1.0,
-        n_pairs=config.time_encoding_pairs,
-    )
-    layer_dims = [dim + encoding.width, *config.hidden_dims, dim]
-    drift_net = glorot_init(layer_dims, rng, config.hidden_activation, "identity")
-    diffusion_net = glorot_init(layer_dims, rng, config.hidden_activation, "softplus")
-    model = SdeModel(dim, drift_net, diffusion_net, encoding)
+    model, rng, train_trajs, val_trajs = _fit_start(trajectories, config)
+    drift_net, diffusion_net, encoding = model.drift_net, model.diffusion_net, model.time_encoding
     # the split arrays come after the long-lived nets, so the heap above the nets holds
     # nothing that outlives the fit and the allocator can give it back on return
     train = extract_transitions(train_trajs)
@@ -234,8 +242,9 @@ def fit(
             for start in range(0, len(order), config.batch_size):
                 idx = order[start : start + config.batch_size]
                 feats = feats_all[idx]
-                mu, drift_cache = drift_net.forward_with_cache(feats)
-                sigma, diffusion_cache = diffusion_net.forward_with_cache(feats)
+                drift_cache, diffusion_cache = [], []
+                mu = drift_net.forward(feats, drift_cache)
+                sigma = diffusion_net.forward(feats, diffusion_cache)
                 l_mu, l_sigma, grad_mu, grad_sigma = _loss_kernel(
                     mu, sigma, train.x[idx], train.x_next[idx], train.dt[idx], with_grads=True
                 )

@@ -8,7 +8,9 @@ layer as the row-major weight matrix followed by the bias; ``weights`` and
 ``biases`` are views into it, so writing through either changes the other.
 Training uses plain stochastic gradient descent; the backward pass is
 hand-written so that gradients are exact for the losses built on top (and can
-be checked against finite differences in tests).  Forward evaluation applies
+be checked against finite differences in tests).  One forward pass serves
+evaluation and training: given a list, :meth:`MlpNetwork.forward` fills it
+with the per-layer cache that :meth:`MlpNetwork.backward` reads.  It applies
 the hidden activations in place on each layer's fresh pre-activation, so a
 layer holds one ``(n, width)`` array, not two.  A signalling NaN, which
 arithmetic never makes, is outside softplus's contract: its NaN's sign may vary.
@@ -143,38 +145,28 @@ class MlpNetwork:
     def _layer_activation(self, layer: int) -> str:
         return self.output_activation if layer == len(self.weights) - 1 else self.hidden_activation
 
-    def forward(self, x) -> np.ndarray:
-        """Evaluate the network on one vector or an ``(n, d)`` batch."""
+    def forward(self, x, cache: list | None = None) -> np.ndarray:
+        """Evaluate the network on one vector or an ``(n, d)`` batch.
+
+        Given a list, appends to ``cache`` one ``(a_in, z, out)`` triple per layer
+        for :meth:`backward`; ``a_in`` is a batch, and a hidden ``z`` is its ``out``.
+        """
         a, single = self._promote(x)
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             z = a @ w.T
             z += b  # in place: one array per layer at the peak of whole-split evaluation
-            a = _apply_activation(self._layer_activation(i), z)
-        return a[0] if single else a
-
-    def forward_with_cache(self, x) -> tuple[np.ndarray, list]:
-        """Forward pass keeping per-layer inputs and pre-activations.
-
-        The cache (one ``(a_in, z, out)`` triple per layer) feeds
-        :meth:`backward`; a hidden layer's activation runs in place, so its
-        ``z`` is its ``out``.  The returned output is always a batch
-        (``(n, out_dim)``), even for a single input vector.
-        """
-        a, _ = self._promote(x)
-        cache = []
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = a @ w.T
-            z += b
             out = _apply_activation(self._layer_activation(i), z)
-            cache.append((a, z, out))
+            if cache is not None:
+                cache.append((a, z, out))
             a = out
-        return a, cache
+        return a[0] if single else a
 
     def backward(self, cache: list, grad_output: np.ndarray) -> np.ndarray:
         """Flat gradient of ``sum_n grad_output[n] . output[n]`` w.r.t. ``params``.
 
-        ``grad_output`` has shape ``(n, out_dim)``; gradients are summed over
-        the batch axis.  The result has the layout of ``params``.
+        ``cache`` is the list a :meth:`forward` call filled; ``grad_output``
+        has shape ``(n, out_dim)``; gradients are summed over the batch axis.
+        The result has the layout of ``params``.
         """
         grad = np.empty_like(self.params)
         grad_w, grad_b = _layer_views(grad, self.layer_dims)

@@ -88,9 +88,6 @@ class TimeEncoding:
         out[:, 1::2] = np.cos(angles)
         return out
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "horizon": self.horizon, "n_pairs": self.n_pairs}
-
     @classmethod
     def from_dict(cls, d: dict) -> "TimeEncoding":
         return cls(

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from embsde.estimation import TrainingConfig, fit
@@ -27,3 +30,17 @@ def ou_trained():
     )
     model, records = fit(trajectories, config)
     return OU_SPEC, model, records
+
+
+@pytest.fixture(scope="session")
+def tool():
+    """Loader of a script in ``tools/`` (not a package) as a module: ``tool("equivalence")``."""
+
+    def load(name: str):
+        path = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    return load

@@ -31,9 +31,9 @@ from embsde.diagnostics import (
 )
 from embsde.estimation import (
     TrainingConfig,
+    _fit_start,
     extract_transitions,
     fit,
-    split_by_trajectory,
     transition_losses,
 )
 from embsde.mlp import glorot_init
@@ -103,21 +103,8 @@ def ou_run():
 
 
 def _epoch0_train_total(data, config):
-    """The train total of the model ``fit`` starts from, before any SGD step.
-
-    ``fit`` records no epoch 0, so this rebuilds its start: the split and
-    both Glorot initializations off one stream seeded with ``config.seed``.
-    """
-    rng = RngStream(config.seed)
-    train, _ = split_by_trajectory(data, config.validation_fraction, rng)
-    encoding = TimeEncoding(kind=config.time_encoding_kind,
-                            horizon=max(float(traj.times[-1]) for traj in data),
-                            n_pairs=config.time_encoding_pairs)
-    dims = [data[0].dim + encoding.width, *config.hidden_dims, data[0].dim]
-    model = SdeModel(data[0].dim,
-                     glorot_init(dims, rng, config.hidden_activation, "identity"),
-                     glorot_init(dims, rng, config.hidden_activation, "softplus"),
-                     encoding)
+    """The train total of the model ``fit`` starts from, before any SGD step."""
+    model, _, train, _ = _fit_start(data, config)
     drift, diffusion = transition_losses(model, extract_transitions(train))
     return config.drift_weight * drift + config.diffusion_weight * diffusion
 
@@ -212,7 +199,8 @@ def test_criterion_01_gradient_correctness():
             net.params[:] = params
             return float(np.sum(coef * net.forward(xs)))
 
-        _, cache = net.forward_with_cache(xs)
+        cache = []
+        net.forward(xs, cache)
         grads = net.backward(cache, coef)
         theta = net.flatten_params()
         eps = 1e-5

@@ -2,13 +2,13 @@
 
 import argparse
 import hashlib
-import importlib.util
 import json
 import os
 import re
 import shlex
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +25,7 @@ from embsde.cli_io import (
     save_trajectories,
     toy_embed,
 )
+from embsde.estimation import TrainingConfig
 from embsde.sde_model import LinearSdeSpec, TimeEncoding, linear_sde_model
 
 
@@ -139,6 +140,14 @@ class TestPipeline:
         assert lines[0] == "epoch,split,total,drift,diffusion"
         assert len(lines) == 4
 
+    def test_train_flags_default_to_the_library_config(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("SDE_TRAJ_SEED", raising=False)
+        data = _synth(tmp_path, n_traj=4, steps=5)
+        model_path = str(tmp_path / "model.json")
+        assert main(["train", "--data", data, "--out", model_path]) == 0
+        saved = load_model(model_path).training_config
+        assert saved == json.loads(json.dumps(asdict(TrainingConfig())))
+
     def test_dim_check_reports_without_training(self, tmp_path, capsys):
         data = _synth(tmp_path, n_traj=3, steps=4)
         rc = main(["train", "--data", data, "--dim-check"])
@@ -146,6 +155,19 @@ class TestPipeline:
         out = capsys.readouterr().out
         assert "data OK" in out and "dim=1" in out and "12 transitions" in out
         assert not (tmp_path / "model.json").exists()
+
+    @pytest.mark.parametrize("record", [
+        '{"embeddings": [["1.5"], [true]], "times": ["0", "1e0"]}',
+        '{"embeddings": [[1.5], [true]]}',
+        '{"embeddings": [[1.5], [2.5]], "times": ["0", "1e0"]}',
+    ], ids=["strings-and-booleans", "boolean-among-numbers", "times-strings"])
+    def test_strings_and_booleans_for_numbers_exit_1(self, tmp_path, capsys, record):
+        path = tmp_path / "data.jsonl"
+        path.write_text(record + "\n")
+        assert main(["train", "--data", str(path), "--dim-check"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"embsde: error: {path} line 1: ") and err.count("\n") == 1
+        assert "must be an array of numbers" in err
 
     def test_train_without_out_exits_1(self, tmp_path, capsys):
         data = _synth(tmp_path, n_traj=2, steps=3)
@@ -211,7 +233,11 @@ class TestSimulate:
         (b"[1, 1e400]", "non-finite"),
         (b"[1, null]", "non-finite"),
         (b'["\xff"]', "cannot read"),
-    ], ids=["short", "string", "object", "huge-int", "nan", "inf", "1e400", "null", "not-utf-8"])
+        (b'["0.5", 1]', "must be an array of numbers"),
+        (b"[true, false]", "must be an array of numbers"),
+        (b"[0.5, true]", "must be an array of numbers"),
+    ], ids=["short", "string", "object", "huge-int", "nan", "inf", "1e400", "null", "not-utf-8",
+            "numeric-string", "booleans", "boolean-among-numbers"])
     def test_bad_init_vec_exits_1(self, tmp_path, capsys, text, says):
         model = _linear_model(tmp_path, dim=2)
         vec = tmp_path / "v.json"
@@ -613,12 +639,12 @@ class TestConsoleEntry:
 
 
 class TestReadmeWalkthrough:
-    def test_every_command_exits_0(self, tmp_path, monkeypatch, capsys):
+    def test_every_command_exits_0(self, tmp_path, monkeypatch, capsys, tool):
         monkeypatch.chdir(tmp_path)
         monkeypatch.delenv("SDE_TRAJ_SEED", raising=False)
         ran = []
         # parsed by the equivalence tool, which replays the same lines
-        for line in _equivalence_tool().readme_walkthrough():
+        for line in tool("equivalence").readme_walkthrough():
             if line.startswith("embsde "):
                 argv = shlex.split(line, comments=True)[1:]
                 assert main(argv) == 0, line
@@ -630,8 +656,8 @@ class TestReadmeWalkthrough:
 
 
 class TestReadmeQuickStart:
-    def test_runs_as_written_and_prints_a_finite_drift(self, capsys):
-        code = _equivalence_tool().readme_block("## Library quick start", "python")
+    def test_runs_as_written_and_prints_a_finite_drift(self, capsys, tool):
+        code = tool("equivalence").readme_block("## Library quick start", "python")
         exec(compile(code, "README.md", "exec"), {"__name__": "quick_start"})
         lines = capsys.readouterr().out.splitlines()
         # the first print is the drift at five states, one row per line
@@ -640,22 +666,14 @@ class TestReadmeQuickStart:
         assert drift.shape == (5,) and np.all(np.isfinite(drift))
 
 
-def _equivalence_tool():
-    path = Path(__file__).resolve().parents[1] / "tools" / "equivalence.py"
-    spec = importlib.util.spec_from_file_location("equivalence", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 class TestEquivalenceManifest:
-    def test_d3_manifest_repeats_and_every_command_succeeds(self):
+    def test_d3_manifest_repeats_and_every_command_succeeds(self, tool):
         # no hash is pinned: outputs are tied to one machine and BLAS build
-        tool = _equivalence_tool()
-        first = tool.manifest(["d3"])
-        assert tool.manifest(["d3"]) == first
+        equivalence = tool("equivalence")
+        first = equivalence.manifest(["d3"])
+        assert equivalence.manifest(["d3"]) == first
         ok = hashlib.sha256(b"0").hexdigest()
-        assert all(first[f"d3/{step}/exit"] == ok for step, _ in tool.D3)
+        assert all(first[f"d3/{step}/exit"] == ok for step, _ in equivalence.D3)
         files = {key.split("/file:")[1] for key in first if "/file:" in key}
         assert {"model.json", "diag64/diagnostics.json", "diag256/heatmap.csv", "field.csv",
                 "importance-tokens.csv", "answer.jsonl", "path.jsonl"} <= files

@@ -123,8 +123,14 @@ class TestTrajectoryRoundTrip:
         '{"embeddings": [[], []]}',
         '{"embeddings": [[1.0], [2.0]], "times": [0, NaN]}',
         '{"embeddings": [[1.0], [2.0]], "times": []}',
+        '{"embeddings": [["1.5"], [2.0]]}',
+        '{"embeddings": [[true], [false]]}',
+        '{"embeddings": [[1.5], [true]]}',
+        '{"embeddings": [[1.0], [2.0]], "times": ["0", "1e0"]}',
+        '{"embeddings": [[1.0], [2.0]], "times": [0, true]}',
     ], ids=["nan", "times-object", "times-object-item", "times-huge-int", "huge-int", "dim-0",
-            "times-nan", "times-empty"])
+            "times-nan", "times-empty", "string", "booleans", "boolean-among-numbers",
+            "times-strings", "times-boolean"])
     def test_values_that_are_not_finite_numbers_rejected(self, tmp_path, record):
         path = tmp_path / "data.jsonl"
         path.write_text("\n" + record + "\n")
@@ -360,7 +366,8 @@ def _reference_bytes(model: SdeModel, config, history) -> bytes:
     payload = {
         "format_version": 1,
         "dim": model.dim,
-        "time_encoding": model.time_encoding.to_dict(),
+        "time_encoding": {"kind": model.time_encoding.kind, "horizon": model.time_encoding.horizon,
+                          "n_pairs": model.time_encoding.n_pairs},
         "drift_net": net(model.drift_net),
         "diffusion_net": net(model.diffusion_net),
         "training_config": config,

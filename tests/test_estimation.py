@@ -8,6 +8,7 @@ from embsde.errors import DimensionMismatchError, TrainingDivergenceError, Valid
 from embsde.estimation import (
     TrainingConfig,
     Transitions,
+    _fit_start,
     _loss_kernel,
     extract_transitions,
     fit,
@@ -191,7 +192,8 @@ class TestLossGradients:
         x, x_next = rng.normals(5)[:, None], rng.normals(5)[:, None]
         dt = np.full(5, 0.5)
         feats = np.concatenate([x, TimeEncoding(horizon=4.0).encode_batch(np.arange(5.0))], axis=1)
-        mu, cache = net.forward_with_cache(feats)
+        cache = []
+        mu = net.forward(feats, cache)
         sigma = np.ones_like(mu)
         _, _, grad_mu, _ = _loss_kernel(mu, sigma, x, x_next, dt, with_grads=True)
 
@@ -213,7 +215,8 @@ class TestLossGradients:
         x = rng.normals(5)[:, None]
         resid = 0.3 * rng.normals(5)[:, None]
         dt = np.full(5, 0.5)
-        sigma, cache = net.forward_with_cache(feats)
+        cache = []
+        sigma = net.forward(feats, cache)
         mu = np.zeros_like(sigma)
         _, _, _, grad_sigma = _loss_kernel(mu, sigma, x, x + resid, dt, with_grads=True)
 
@@ -284,6 +287,21 @@ class TestFit:
         np.testing.assert_array_equal(
             m1.diffusion_net.flatten_params(), m2.diffusion_net.flatten_params()
         )
+
+    @pytest.mark.parametrize("frozen, moved, weights", [
+        ("drift_net", "diffusion_net", {"drift_weight": 0.0}),
+        ("diffusion_net", "drift_net", {"diffusion_weight": 0.0}),
+    ])
+    def test_a_net_with_zero_loss_weight_keeps_its_start_bits(self, frozen, moved, weights):
+        # _fit_start is fit's start: the net that takes no step ends where it began
+        trajs = sample_linear_trajectories(LinearSdeSpec(-1.0, 0.5, 1), 20, 10, 0.1, seed=4)
+        cfg = TrainingConfig(epochs=2, batch_size=32, seed=11, validation_fraction=0.25,
+                             hidden_dims=(8, 4), time_encoding_kind="sinusoidal", **weights)
+        start = _fit_start(trajs, cfg)[0]
+        model, _ = fit(trajs, cfg)
+        assert model.time_encoding == start.time_encoding
+        assert getattr(model, frozen).params.tobytes() == getattr(start, frozen).params.tobytes()
+        assert getattr(model, moved).params.tobytes() != getattr(start, moved).params.tobytes()
 
     def test_record_structure_and_composition(self):
         trajs = sample_linear_trajectories(LinearSdeSpec(-1.0, 0.5, 1), 8, 10, 0.1, seed=4)

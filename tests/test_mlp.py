@@ -126,7 +126,8 @@ class TestBackward:
             net.params[:] = params
             return float(np.sum(coef * net.forward(xs)))
 
-        out, cache = net.forward_with_cache(xs)
+        cache = []
+        net.forward(xs, cache)
         grads = net.backward(cache, coef)
 
         theta = net.flatten_params()
@@ -143,11 +144,13 @@ class TestBackward:
         net = small_net()
         xs = RngStream(2).normals(3 * 3).reshape(3, 3)
         coef = np.ones((3, 2))
-        _, cache = net.forward_with_cache(xs)
+        cache = []
+        net.forward(xs, cache)
         batch_grad = net.backward(cache, coef)
         total = np.zeros_like(batch_grad)
         for x in xs:
-            _, c1 = net.forward_with_cache(x)
+            c1 = []
+            net.forward(x, c1)
             total += net.backward(c1, np.ones((1, 2)))
         np.testing.assert_allclose(batch_grad, total, rtol=1e-12)
 
@@ -209,12 +212,15 @@ class TestInPlaceActivations:
         x = xs[0] if rows is None else xs
         want_out, want_grad = _reference_pass(net, xs, coef)
 
-        out, cache = net.forward_with_cache(x)
+        cache = []
+        out = net.forward(x, cache)
+        assert out.shape == (want_out[0] if rows is None else want_out).shape
         assert out.tobytes() == want_out.tobytes()
+        assert len(cache) == len(net.weights)
         assert net.backward(cache, coef).tobytes() == want_grad.tobytes()
-        forward = net.forward(x)
-        assert forward.shape == (want_out[0] if rows is None else want_out).shape
-        assert forward.tobytes() == want_out.tobytes()
+        forward = net.forward(x)  # no cache: the same bits
+        assert forward.shape == out.shape
+        assert forward.tobytes() == out.tobytes()
 
     def test_sigmoid_equals_the_masked_formula(self):
         nan_payloads = np.array(
@@ -276,7 +282,8 @@ class TestSgd:
         ys = 2.0 * xs
         losses = []
         for _ in range(60):
-            out, cache = net.forward_with_cache(xs)
+            cache = []
+            out = net.forward(xs, cache)
             resid = out - ys
             losses.append(float(np.mean(resid**2)))
             grads = net.backward(cache, 2.0 * resid / len(xs))

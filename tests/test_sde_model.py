@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -63,7 +64,7 @@ class TestTimeEncoding:
 
     def test_dict_round_trip(self):
         enc = TimeEncoding(kind="sinusoidal", horizon=7.5, n_pairs=2)
-        assert TimeEncoding.from_dict(enc.to_dict()) == enc
+        assert TimeEncoding.from_dict(asdict(enc)) == enc
 
     def test_validation(self):
         with pytest.raises(ValidationError):

@@ -1,7 +1,6 @@
 """The benchmark comparison, seed sweep and equivalence tools: their pure parts."""
 
 import ast
-import importlib.util
 import json
 import sys
 from pathlib import Path
@@ -10,17 +9,9 @@ import numpy as np
 import pytest
 
 
-def _tool(name: str):
-    path = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.fixture(scope="module")
-def bench_compare():
-    return _tool("bench_compare")
+def bench_compare(tool):
+    return tool("bench_compare")
 
 
 class TestBenchCompare:
@@ -54,8 +45,8 @@ class TestBenchCompare:
 
 
 @pytest.fixture(scope="module")
-def seed_sweep():
-    return _tool("seed_sweep")
+def seed_sweep(tool):
+    return tool("seed_sweep")
 
 
 class TestSeedSweep:
@@ -117,8 +108,8 @@ class TestSeedSweep:
         assert acceptance._below("drift MAE", 0.15, 0.15) == ("drift MAE", 0.15, False, 0.0)
 
 
-def test_readme_block_holds_the_walkthrough_lines():
-    equivalence = _tool("equivalence")
+def test_readme_block_holds_the_walkthrough_lines(tool):
+    equivalence = tool("equivalence")
     block = equivalence.readme_block("## CLI walkthrough", "sh")
     assert block.startswith("# 200 one-dimensional") and block.endswith("--seed 4\n")
     lines = equivalence.readme_walkthrough()
